@@ -21,7 +21,7 @@ template <template <typename> class VMImpl>
 workload::RangeWorkloadResult run(int nu) {
   workload::RangeWorkloadConfig cfg;
   cfg.readers = bench::reader_threads();
-  cfg.initial_size = static_cast<std::uint64_t>(50000 * env_scale());
+  cfg.initial_size = static_cast<std::uint64_t>(config().scaled(50000));
   cfg.nq = 10;
   cfg.nu = nu;
   cfg.duration_sec = bench::cell_seconds();

@@ -26,7 +26,7 @@ template <template <typename> class VMImpl>
 std::int64_t max_versions(int nu) {
   workload::RangeWorkloadConfig cfg;
   cfg.readers = bench::reader_threads();
-  cfg.initial_size = static_cast<std::uint64_t>(100000 * env_scale());
+  cfg.initial_size = static_cast<std::uint64_t>(config().scaled(100000));
   cfg.nq = 10;
   cfg.nu = nu;
   cfg.duration_sec = bench::cell_seconds();

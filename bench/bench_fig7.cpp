@@ -292,7 +292,7 @@ ShardedCell run_sharded(int nshards, const CellConfig& cfg) {
 int main() {
   bench::ObsSession obs_session;
   CellConfig cfg;
-  cfg.keys = static_cast<std::uint64_t>(200000 * env_scale());
+  cfg.keys = static_cast<std::uint64_t>(config().scaled(200000));
   cfg.threads = static_cast<int>(env_long(
       "MVCC_THREADS",
       std::max(2u, std::thread::hardware_concurrency())));

@@ -35,8 +35,7 @@ template <template <typename> class VMImpl>
 CellResult run_cell(int nq, int nu) {
   workload::RangeWorkloadConfig cfg;
   cfg.readers = bench::reader_threads();
-  cfg.initial_size =
-      static_cast<std::uint64_t>(100000 * env_scale());
+  cfg.initial_size = static_cast<std::uint64_t>(config().scaled(100000));
   cfg.nq = nq;
   cfg.nu = nu;
   cfg.duration_sec = bench::cell_seconds();
@@ -74,7 +73,7 @@ int main() {
       "Table 2: query/update throughput and live versions per VM algorithm");
   std::printf("(readers=%d, scale=%g, %gs per cell; paper: 140 readers, "
               "1e8 keys, 15s)\n",
-              mvcc::bench::reader_threads(), mvcc::env_scale(),
+              mvcc::bench::reader_threads(), mvcc::config().scale,
               mvcc::bench::cell_seconds());
 
   bench::print_row({"nq", "nu", "Base", "PSWF", "PSLF", "HP", "EP", "RCU"});

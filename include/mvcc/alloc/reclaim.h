@@ -1,17 +1,21 @@
 // The single reclamation seam for exact freed sets.
 //
-// Before this header there were two ways a freed set died: vm/'s
-// reclaim_payloads (inline deletes or the exec/ background lane) and
-// ftree::collect's direct per-node deletes. reclaim_batch unifies them:
-// every call site hands over (1) the batch, (2) a LANE — free it here or
-// on the background defer lane — and (3) a DISPOSE policy — operator
-// delete or return-to-pool. Deferred vs inline vs pooled is now a policy
-// choice made at one seam, not three divergent code paths.
+// A version manager (vm/) hands its client the exact set of payloads an
+// operation proved unreachable; the client disposes of them here. Every
+// call site hands over (1) the batch, (2) a LANE — free it on the calling
+// thread, or on the exec/ pool's background defer lane — and (3) a
+// DISPOSE policy — operator delete or return-to-pool.
 //
-// The background lane keeps PR 8's contract: reclaim_queue_depth() counts
-// payloads published-but-unfreed (the sampler's reclaim/queue_depth
-// column), every deferred batch runs under a `reclaim/batch_free` trace
-// span, and quiesce() blocks until the lane is drained.
+// The background lane holds at most one batch: a batch handed to it while
+// an earlier one is still unfreed is freed inline instead, so a slow
+// worker cannot grow the heap without bound. Reader releases and the
+// inverted index free inline; a commit picks its lane in reclaim_retired,
+// from its own size.
+//
+// reclaim_queue_depth() counts payloads published-but-unfreed (the
+// sampler's reclaim/queue_depth column), every deferred batch runs under a
+// `reclaim/batch_free` trace span, and reclaim_quiesce() blocks until the
+// lane is drained.
 //
 // Registry handles (under obs::enabled()):
 //   reclaim/deferred         payloads routed to the background lane
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "mvcc/alloc/pool.h"
+#include "mvcc/common/env.h"
 #include "mvcc/exec/pool.h"
 #include "mvcc/obs/obs.h"
 
@@ -48,9 +53,9 @@ struct PoolDispose {
   }
 };
 
-// Payloads published to the background lane and not yet freed. Maintained
-// unconditionally (two relaxed RMWs per deferred BATCH, off every hot
-// path) so quiesce-style tests can watch it without obs on.
+// Payloads published to the background lane and not yet freed; nonzero
+// means the lane is busy. Maintained unconditionally (two relaxed RMWs per
+// deferred BATCH, off every hot path).
 inline std::atomic<std::int64_t>& reclaim_queue_depth() {
   static std::atomic<std::int64_t> depth{0};
   return depth;
@@ -67,22 +72,26 @@ struct ReclaimStats {
   }
 };
 
-// Disposes of an exact freed set. Takes the vector by value so call sites
-// pass a VM return directly: `reclaim_batch(vm.release(p), lane)`.
+// Disposes of an exact freed set on the given lane (inline if the
+// background lane is busy). Takes the vector by value so call sites pass a
+// VM return directly: `reclaim_batch(vm.release(p), lane)`.
 template <class T, class Dispose = DeleteDispose>
 void reclaim_batch(std::vector<T*> dead, ReclaimLane lane,
                    Dispose dispose = {}) {
   if (dead.empty()) return;
-  if (lane == ReclaimLane::kInline) {
+  // Claim the lane only while it is empty, counting the batch in the same
+  // step, so concurrent callers still leave at most one batch pending.
+  const auto n = static_cast<std::int64_t>(dead.size());
+  std::int64_t idle = 0;
+  if (lane == ReclaimLane::kInline ||
+      !reclaim_queue_depth().compare_exchange_strong(
+          idle, n, std::memory_order_relaxed)) {
     for (T* p : dead) dispose(p);
     return;
   }
-  const auto n = static_cast<std::int64_t>(dead.size());
-  const std::int64_t depth =
-      reclaim_queue_depth().fetch_add(n, std::memory_order_relaxed) + n;
   if (obs::enabled()) {
     ReclaimStats::get().deferred.add(static_cast<std::uint64_t>(n));
-    ReclaimStats::get().queue_depth_hwm.update_max(depth);
+    ReclaimStats::get().queue_depth_hwm.update_max(n);
   }
   exec::Pool::instance().defer([batch = std::move(dead), dispose] {
     obs::TraceSpan span("reclaim/batch_free",
@@ -91,6 +100,22 @@ void reclaim_batch(std::vector<T*> dead, ReclaimLane lane,
     reclaim_queue_depth().fetch_sub(static_cast<std::int64_t>(batch.size()),
                                     std::memory_order_relaxed);
   });
+}
+
+// Disposes of the versions a commit retired. `work` estimates the nodes
+// the commit copied, which is about what freeing its retired version
+// visits. From 4 * config().grain (8192 at the default grain) the set goes
+// to the background lane: the repository benchmark's write-stream commits
+// (~15.7k nodes freed each) are faster that way, its snapshot-read commits
+// (~1.0k) faster inline. Read on every call, so tests can move the
+// threshold through config().grain.
+template <class T, class Dispose = DeleteDispose>
+void reclaim_retired(std::vector<T*> dead, std::uint64_t work,
+                     Dispose dispose = {}) {
+  const bool large = work >= 4 * static_cast<std::uint64_t>(config().grain);
+  reclaim_batch(std::move(dead),
+                large ? ReclaimLane::kBackground : ReclaimLane::kInline,
+                dispose);
 }
 
 // Blocks until every batch ever routed to the background lane has been

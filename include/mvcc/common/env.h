@@ -23,10 +23,9 @@
 //                 unavailable)                                 (default 0)
 //   MVCC_GRAIN    fork-join grain for the bulk tree ops: a recursive
 //                 subproblem below this many nodes stays sequential
-//                 (see ftree/ops.h bulk_grain)              (default 2048)
-//   MVCC_BG_RECLAIM  1 routes the exact freed sets VM operations return
-//                 to the exec/ pool's background lane instead of freeing
-//                 inline (see vm/base.h reclaim_payloads)      (default 0)
+//                 (see ftree/ops.h bulk_grain); four grains of work is
+//                 also where a commit's frees move off the commit path
+//                 (see alloc/reclaim.h)                     (default 2048)
 //   MVCC_ALLOC    node/tuple allocation policy: "slab" routes fixed-size
 //                 blocks through the alloc/ magazine pool, "malloc" keeps
 //                 plain operator new/delete for A/B comparison
@@ -144,9 +143,7 @@ inline int parse_shards() {
 // process-wide ones into one struct, seeded from the environment on first
 // use of config() and test-overridable: either mutate config() fields
 // directly, or setenv + reload_config(). Library code reads config() (one
-// cached struct, no getenv on hot paths); the env_threads()/env_grain()/
-// env_scale() free functions below survive as thin deprecated wrappers
-// that keep their historical re-read-every-call semantics.
+// cached struct, no getenv on hot paths).
 struct Config {
   double scale = 1.0;              // MVCC_SCALE
   int threads = 1;                 // MVCC_THREADS (floored at 1)
@@ -186,27 +183,5 @@ inline Config& config() {
 
 // Re-seeds config() from the current environment (for tests that setenv).
 inline void reload_config() { config() = Config::from_env(); }
-
-// --- Deprecated thin wrappers ----------------------------------------------
-// Pre-Config call sites read these; they re-read the environment every call
-// (the historical contract some tests rely on). New code: use config().
-
-// The raw MVCC_SCALE multiplier (default 1.0). Deprecated: config().scale.
-inline double env_scale() { return detail::parse_scale(); }
-
-// Scales a base structure size by MVCC_SCALE. Deprecated: config().scaled.
-inline long env_scale(long base) {
-  Config c;
-  c.scale = detail::parse_scale();
-  return c.scaled(base);
-}
-
-// Fork-join grain for the bulk tree operations (MVCC_GRAIN). Deprecated:
-// config().grain.
-inline long env_grain() { return detail::parse_grain(); }
-
-// Worker-thread count for bulk operations (MVCC_THREADS overrides
-// hardware). Deprecated: config().threads.
-inline int env_threads() { return detail::parse_threads(); }
 
 }  // namespace mvcc

@@ -1,6 +1,6 @@
 // Shared work-stealing task pool: the execution substrate for the bulk
 // tree operations' fork-join parallelism (ftree/ops.h) and for
-// off-critical-path precise reclamation (vm/base.h MVCC_BG_RECLAIM).
+// off-critical-path precise reclamation (alloc/reclaim.h).
 //
 // Before this layer every fork was a `std::async` thread (fine for one big
 // batch, wasteful for many small concurrent unions, with the spawn-failure
@@ -18,8 +18,9 @@
 //     caller self-executes), centralizing the old per-site fallbacks.
 //   * BACKGROUND (defer/quiesce): defer(fn) queues work workers run only
 //     when the foreground is empty; quiesce() helps drain and blocks until
-//     every deferred task has COMPLETED. vm/base.h publishes exact freed
-//     sets here so release/set return before the destructors run.
+//     every deferred task has COMPLETED. alloc/reclaim.h publishes a large
+//     commit's exact freed set here, so the commit returns before its
+//     destructors run.
 //
 // Deque design: per-worker mutex-guarded deques — owner pushes and pops at
 // the back (LIFO, the fork-join locality order), thieves take HALF from the

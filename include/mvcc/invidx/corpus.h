@@ -9,8 +9,8 @@
 // contention pattern that makes Table 3 interesting.
 //
 // Everything is deterministic under CorpusConfig::seed (mvcc::Xoshiro256
-// streams), and benches scale num_docs / vocabulary / query counts by
-// env_scale() so the same binary runs at laptop and paper scale. Zipf
+// streams), and benches scale num_docs / vocabulary / query counts with
+// config().scaled() so the same binary runs at laptop and paper scale. Zipf
 // ranks are scrambled through splitmix64 (as in workload/ycsb.h) so the
 // hot terms are spread across the term space instead of clustered at one
 // end of the tree.

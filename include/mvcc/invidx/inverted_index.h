@@ -22,13 +22,10 @@
 // snapshot are wait-free against the writer and fully concurrent across
 // distinct slots. A slot p must not be used from two threads at once.
 // Precise GC falls out of the payload ownership: every Map a VM operation
-// proves unreachable goes through vm::reclaim_payloads with
-// alloc::PoolDispose (returned to the slab pool on the spot, or on the
-// exec/ pool's background lane under
-// MVCC_BG_RECLAIM=1; either way its destructor reenters collect for the
-// nested posting lists), and the destructor quiesces that lane, so
-// ftree::live_nodes() returns to baseline once the index and its
-// snapshots are gone.
+// proves unreachable is returned to the slab pool on the spot, through
+// alloc::reclaim_batch on the inline lane (its destructor reenters collect
+// for the nested posting lists), so ftree::live_nodes() returns to
+// baseline once the index and its snapshots are gone.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +36,7 @@
 #include <vector>
 
 #include "mvcc/alloc/pool.h"
+#include "mvcc/alloc/reclaim.h"
 #include "mvcc/ftree/fmap.h"
 #include "mvcc/invidx/corpus.h"
 #include "mvcc/vm/base.h"
@@ -63,7 +61,6 @@ class InvertedIndex {
   // Quiescent teardown; outstanding Snapshots stay valid (they own their
   // nodes by reference count, independent of the manager).
   ~InvertedIndex() {
-    vm::reclaim_quiesce();
     for (Map* dead : vm_.shutdown_drain()) alloc::destroy(dead);
   }
 
@@ -150,9 +147,8 @@ class InvertedIndex {
     // one parallel bulk multi_insert publishes the whole batch.
     Map next = cur->multi_inserted(
         std::span<const typename Map::Entry>(delta), workers);
-    vm::reclaim_payloads(vm_.set(p, alloc::create<Map>(std::move(next))),
-                         alloc::PoolDispose{});
-    vm::reclaim_payloads(vm_.release(p), alloc::PoolDispose{});
+    free_now(vm_.set(p, alloc::create<Map>(std::move(next))));
+    free_now(vm_.release(p));
   }
 
   // Snapshot the current version via slot p (O(1): one acquire, one
@@ -160,7 +156,7 @@ class InvertedIndex {
   Snapshot snapshot(int p) {
     Map* cur = vm_.acquire(p);
     Map snap = *cur;
-    vm::reclaim_payloads(vm_.release(p), alloc::PoolDispose{});
+    free_now(vm_.release(p));
     return Snapshot(std::move(snap));
   }
 
@@ -170,13 +166,18 @@ class InvertedIndex {
   std::vector<DocId> and_query(int p, Term a, Term b, std::size_t limit) {
     Map* cur = vm_.acquire(p);
     std::vector<DocId> out = and_query_in(*cur, a, b, limit);
-    vm::reclaim_payloads(vm_.release(p), alloc::PoolDispose{});
+    free_now(vm_.release(p));
     return out;
   }
 
   const VM& vm() const { return vm_; }
 
  private:
+  static void free_now(std::vector<Map*> dead) {
+    alloc::reclaim_batch(std::move(dead), alloc::ReclaimLane::kInline,
+                         alloc::PoolDispose{});
+  }
+
   VM vm_;
 };
 

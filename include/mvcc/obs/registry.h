@@ -9,7 +9,8 @@
 //
 // dump_text emits one flat `name=value` line per scalar — histograms
 // expand to name/count, name/min, name/mean, name/p50, name/p99,
-// name/p999 — and dump_json the same keys as one flat JSON object, plus a
+// name/p999, and a histogram that never recorded emits no keys at all —
+// and dump_json the same keys as one flat JSON object, plus a
 // name/buckets array of [lower, upper, count] triples per histogram so
 // external tools can re-plot full distributions. Both take an optional
 // prefix so multi-process pipelines (each bench dumps its own registry)
@@ -130,6 +131,7 @@ class Registry {
       out[prefix + name] = std::to_string(g->value());
     }
     for (const auto& [name, h] : histograms_) {
+      if (h->count() == 0) continue;  // all-zero quantiles would read as data
       out[prefix + name + "/count"] = std::to_string(h->count());
       out[prefix + name + "/min"] = std::to_string(h->min());
       out[prefix + name + "/mean"] = fmt_double(h->mean());

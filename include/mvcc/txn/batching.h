@@ -22,13 +22,14 @@
 //   * vm.set is called only by the flattener, satisfying the external
 //     single-writer serialization the VM contract (vm/base.h) requires.
 //   * Version payloads (Map objects) are owned here and created through
-//     the alloc/ pool: every pointer a VM operation proves unreachable
-//     goes through vm::reclaim_payloads with alloc::PoolDispose —
-//     returned to the pool on the spot by default, or on the exec/ pool's
-//     background lane under MVCC_BG_RECLAIM=1 so a commit never stalls on
-//     the destructor cost of a large retirement. The destructor quiesces
-//     that lane and drains the manager, so ftree::live_nodes() returns to
-//     its baseline once the map and its snapshots are gone, in either mode.
+//     the alloc/ pool, and every pointer a VM operation proves unreachable
+//     goes back through alloc/reclaim.h. Reader releases free inline; a
+//     commit that copied enough nodes hands its retired versions to the
+//     exec/ pool's background lane (alloc::reclaim_retired), so it does
+//     not stall on the destructor cost of a large retirement. The
+//     destructor quiesces that lane and drains the manager, so
+//     ftree::live_nodes() returns to its baseline once the map and its
+//     snapshots are gone.
 //
 // The batch bound is the Appendix F knob: `max_batch` caps the ops folded
 // into one published version, trading throughput (bigger batches amortize
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "mvcc/alloc/pool.h"
+#include "mvcc/alloc/reclaim.h"
 #include "mvcc/common/timing.h"
 #include "mvcc/ftree/fmap.h"
 #include "mvcc/ftree/ops.h"
@@ -92,13 +94,16 @@ struct BatchingStats {
 // Maintained only under obs::enabled() (producers are the hot path).
 inline std::atomic<std::int64_t> g_queue_depth{0};
 
-// Registers the queue-depth probe with the obs sampler. Idempotent;
-// called by every BatchingMap constructor and by the bench glue (the
-// latter so the column exists even when the sampler starts before the
-// first map is built).
+// Registers the submit-queue and reclaim-lane depth probes with the obs
+// sampler. Idempotent; called by every BatchingMap constructor and by the
+// bench glue (the latter so the columns exist even when the sampler starts
+// before the first map is built).
 inline void register_txn_probes() {
   obs::Sampler::instance().register_probe("txn/queue_depth", [] {
     return g_queue_depth.load(std::memory_order_relaxed);
+  });
+  obs::Sampler::instance().register_probe("reclaim/queue_depth", [] {
+    return alloc::reclaim_queue_depth().load(std::memory_order_relaxed);
   });
 }
 
@@ -160,7 +165,7 @@ class BatchingMap {
     // deferred batch, a depot transfer) never fires.
     if (obs::enabled()) {
       (void)BatchingStats::get();
-      (void)vm::ReclaimStats::get();
+      (void)alloc::ReclaimStats::get();
       (void)alloc::AllocStats::get();
       register_txn_probes();
     }
@@ -173,13 +178,12 @@ class BatchingMap {
   // Quiescent teardown: callers must have stopped submitting and dropped
   // their ReadTxns' pins on the manager (held snapshots stay valid — they
   // own their nodes). Commits everything still buffered, drains the
-  // background reclaim lane (deferred frees from those commits — even a
-  // backed-up lane is fully freed before this returns), then frees every
-  // version the manager tracks.
+  // background reclaim lane (a deferred free from those commits is done
+  // before this returns), then frees every version the manager tracks.
   ~BatchingMap() {
     stop_.store(true, std::memory_order_release);
     flattener_.join();
-    vm::reclaim_quiesce();
+    alloc::reclaim_quiesce();
     for (Map* dead : vm_.shutdown_drain()) alloc::destroy(dead);
   }
 
@@ -231,7 +235,8 @@ class BatchingMap {
     Map* cur = vm_.acquire(p);
     const V* v = cur->find(k);
     std::optional<V> out = v != nullptr ? std::optional<V>(*v) : std::nullopt;
-    vm::reclaim_payloads(vm_.release(p), alloc::PoolDispose{});
+    alloc::reclaim_batch(vm_.release(p), alloc::ReclaimLane::kInline,
+                         alloc::PoolDispose{});
     return out;
   }
 
@@ -240,7 +245,8 @@ class BatchingMap {
   ReadTxn read_txn(int p) {
     Map* cur = vm_.acquire(p);
     Map snap = *cur;
-    vm::reclaim_payloads(vm_.release(p), alloc::PoolDispose{});
+    alloc::reclaim_batch(vm_.release(p), alloc::ReclaimLane::kInline,
+                         alloc::PoolDispose{});
     return ReadTxn(std::move(snap));
   }
 
@@ -430,21 +436,27 @@ class BatchingMap {
 
   // One transaction: dedup the drained ops (stable sort — the last
   // submission per key wins), bulk-apply over the acquired version, publish
-  // through the VM, hand what it proved unreachable to reclaim (inline
-  // delete, or the background lane under MVCC_BG_RECLAIM — the commit then
-  // never stalls on a large retirement's destructor cost), then advance
-  // the per-producer committed cursors (which is what releases upsert_sync
+  // through the VM, hand what it proved unreachable to reclaim_retired
+  // (which picks the lane from the commit's size), then advance the
+  // per-producer committed cursors (which is what releases upsert_sync
   // waiters and admission control).
   void commit(std::vector<Entry>& batch, const std::vector<std::uint64_t>& from,
               std::size_t raw_ops) {
     obs::TraceSpan span("txn/flattener_commit", raw_ops);
     Map* cur = vm_.acquire(writer_pid());
     ftree::prepare_batch(batch);
+    // The k deduplicated keys rewrite k root-to-leaf paths that share their
+    // top ~log2(k) levels: about k * (height - log2(k) + 1) copied nodes,
+    // which is also about what freeing the retired version visits.
+    const std::uint64_t k = batch.size();
+    const std::uint64_t levels = ftree::height_of(cur->root()) + 2;
+    const std::uint64_t shared = static_cast<std::uint64_t>(std::bit_width(k));
+    const std::uint64_t work = k * (levels > shared ? levels - shared : 1);
     Map next = cur->multi_inserted(std::span<const Entry>(batch));
-    vm::reclaim_payloads(
-        vm_.set(writer_pid(), alloc::create<Map>(std::move(next))),
-        alloc::PoolDispose{});
-    vm::reclaim_payloads(vm_.release(writer_pid()), alloc::PoolDispose{});
+    std::vector<Map*> dead =
+        vm_.set(writer_pid(), alloc::create<Map>(std::move(next)));
+    for (Map* m : vm_.release(writer_pid())) dead.push_back(m);
+    alloc::reclaim_retired(std::move(dead), work, alloc::PoolDispose{});
     ops_committed_.fetch_add(raw_ops, std::memory_order_relaxed);
     batches_committed_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) {

@@ -42,8 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "mvcc/alloc/reclaim.h"
-#include "mvcc/exec/pool.h"
 #include "mvcc/obs/obs.h"
 
 namespace mvcc::vm {
@@ -72,84 +70,18 @@ inline obs::Counter& vm_versions_retired() {
 // uncollected-version curve over time.
 inline std::atomic<std::int64_t> g_live_versions{0};
 
-// Registers the live-version and reclaim-queue probes with the obs
-// sampler. Idempotent; called by the bench glue before the sampler starts.
+// Registers the live-version probe with the obs sampler. Idempotent;
+// called by the bench glue before the sampler starts.
 inline void register_vm_probes() {
   obs::Sampler::instance().register_probe("vm/live_versions", [] {
     return g_live_versions.load(std::memory_order_relaxed);
   });
-  obs::Sampler::instance().register_probe("reclaim/queue_depth", [] {
-    return alloc::reclaim_queue_depth().load(std::memory_order_relaxed);
-  });
 }
 
-// --- Off-critical-path precise reclamation (MVCC_BG_RECLAIM) -------------
-//
-// The VM algorithms return EXACT freed sets; by default their client
-// (txn/batching.h, invidx/) deletes the payloads inline, right on the path
-// that proved them unreachable — for the flattener that means a commit
-// stalls on the destructor cost of every version it retires. With
-// MVCC_BG_RECLAIM=1, reclaim_payloads() publishes the whole freed set to
-// the exec/ pool's background lane instead and returns immediately; a
-// worker runs the deletes under a `reclaim/batch_free` trace span.
-//
-// Precision is untouched: the freed SET is computed exactly as in the
-// inline mode (the managers' claim protocols still hand each payload back
-// exactly once), only WHERE the destructor runs changes. The counterpart
-// guarantee is reclaim_quiesce(): it blocks until every published batch
-// has been freed, so "ftree::live_nodes() returns to baseline" holds at
-// any quiescent point that drains — the client destructors (BatchingMap,
-// InvertedIndex, the managers themselves) all quiesce, so deferred
-// reclamation can never leak at shutdown.
-
-namespace detail {
-// -1 = uninitialized; the first query resolves the MVCC_BG_RECLAIM env
-// var. set_bg_reclaim() overrides for tests, mirroring obs::set_enabled.
-inline std::atomic<int>& bg_reclaim_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-}  // namespace detail
-
-inline bool bg_reclaim_enabled() {
-  int v = detail::bg_reclaim_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = env_long("MVCC_BG_RECLAIM", 0) != 0 ? 1 : 0;
-    detail::bg_reclaim_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-inline void set_bg_reclaim(bool on) {
-  detail::bg_reclaim_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-// The queue-depth gauge and registry handles now live on the unified
-// alloc/ reclamation seam (alloc/reclaim.h); these names are kept so vm/
-// clients and tests read them where the lane was introduced.
-using alloc::ReclaimStats;
-using alloc::reclaim_queue_depth;
-
-// Frees a VM operation's returned payload set through the unified
-// alloc::reclaim_batch seam: inline when deferred reclaim is off (or the
-// set is empty), else as one batch on the exec/ pool's background lane.
-// Takes the vector by value so call sites pass the VM return directly:
-// `vm::reclaim_payloads(vm.release(p))`. The dispose policy says how each
-// payload dies — operator delete by default (client-owned payloads the VM
-// contract promises never to touch), alloc::PoolDispose for payloads the
-// client created through the slab pool.
-template <class T, class Dispose = alloc::DeleteDispose>
-void reclaim_payloads(std::vector<T*> dead, Dispose dispose = {}) {
-  alloc::reclaim_batch(std::move(dead),
-                       bg_reclaim_enabled() ? alloc::ReclaimLane::kBackground
-                                            : alloc::ReclaimLane::kInline,
-                       dispose);
-}
-
-// Blocks until every payload ever passed to reclaim_payloads has been
-// freed (helping drain from the calling thread). Trivially quiescent when
-// the pool was never created or deferred reclaim never engaged.
-inline void reclaim_quiesce() { alloc::reclaim_quiesce(); }
+// Where a client frees the payloads a manager returns is the client's
+// choice (alloc/reclaim.h); this stays only for perfbench/client.cpp, which
+// reports it in its config line.
+constexpr bool bg_reclaim_enabled() { return true; }
 
 // --- Cross-manager version vectors ---------------------------------------
 //
@@ -260,11 +192,6 @@ class BaseVersionManager : public VmStats {
     assert(nprocs >= 1);
     (void)nprocs;
   }
-
-  // A manager's death is a quiescent point: drain the background reclaim
-  // lane so payloads this manager's clients deferred are freed before the
-  // client finishes tearing down around it.
-  ~BaseVersionManager() { reclaim_quiesce(); }
 
   static constexpr const char* name() { return "Base"; }
 

@@ -29,7 +29,7 @@
 // The claim CAS makes "exactly one collector" a machine-checked fact: a
 // release racing the writer's sweep (or another release of the same
 // version) frees each version exactly once. That exactly-once claim is
-// also why deferred reclamation (vm/base.h MVCC_BG_RECLAIM) cannot
+// also why a client's background reclaim lane (alloc/reclaim.h) cannot
 // double-free: the client may delete a returned payload later and on
 // another thread, but each payload is RETURNED once, by one operation.
 //
@@ -85,11 +85,6 @@ class PreciseCore : public VmStats {
 
   PreciseCore(const PreciseCore&) = delete;
   PreciseCore& operator=(const PreciseCore&) = delete;
-
-  // A manager's death is a quiescent point: drain the background reclaim
-  // lane so payloads its clients deferred are freed before teardown
-  // completes (live_nodes-to-baseline holds right after the manager dies).
-  ~PreciseCore() { reclaim_quiesce(); }
 
   // Un-announces process p's version and, when this release removed the
   // last reference to a retired version, claims it and returns its payload

@@ -14,7 +14,7 @@
 // The harness reports query/update throughput and the VM's
 // max_live_versions high-water mark — the "maximum number of uncollected
 // versions" axis of Figure 6. Deterministically seeded via mvcc::Xoshiro256;
-// callers scale sizes via env_scale() (see the benches).
+// callers scale sizes via config().scaled() (see the benches).
 #pragma once
 
 #include <atomic>

@@ -36,63 +36,57 @@ TEST(Env, DoubleDefaultsAndOverrides) {
   unsetenv("MVCC_TEST_DOUBLE");
 }
 
+// Sets (or, with nullptr, unsets) one knob and re-seeds config() from the
+// environment, the path every knob reader goes through.
+const Config& config_with(const char* name, const char* value) {
+  (void)(value != nullptr ? setenv(name, value, 1) : unsetenv(name));
+  reload_config();
+  return config();
+}
+
 TEST(Env, ScaleMultipliesAndClampsToOne) {
-  unsetenv("MVCC_SCALE");
-  EXPECT_EQ(env_scale(1000), 1000);
-  setenv("MVCC_SCALE", "2.5", 1);
-  EXPECT_EQ(env_scale(1000), 2500);
-  setenv("MVCC_SCALE", "0.0001", 1);
-  EXPECT_EQ(env_scale(1000), 1);  // positive base never scales to zero
-  unsetenv("MVCC_SCALE");
+  EXPECT_EQ(config_with("MVCC_SCALE", nullptr).scaled(1000), 1000);
+  EXPECT_EQ(config_with("MVCC_SCALE", "2.5").scaled(1000), 2500);
+  // A positive base never scales to zero.
+  EXPECT_EQ(config_with("MVCC_SCALE", "0.0001").scaled(1000), 1);
+  config_with("MVCC_SCALE", nullptr);
 }
 
 TEST(Env, ScaleNoArgReturnsRawMultiplier) {
-  unsetenv("MVCC_SCALE");
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
-  setenv("MVCC_SCALE", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 2.5);
-  setenv("MVCC_SCALE", "0.01", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 0.01);  // fractional scales pass through
-  setenv("MVCC_SCALE", "junk", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
-  unsetenv("MVCC_SCALE");
+  EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", nullptr).scale, 1.0);
+  EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", "2.5").scale, 2.5);
+  // Fractional scales pass through.
+  EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", "0.01").scale, 0.01);
+  EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", "junk").scale, 1.0);
+  config_with("MVCC_SCALE", nullptr);
 }
 
 TEST(Env, GrainDefaultsOverridesAndRejectsNonPositive) {
-  unsetenv("MVCC_GRAIN");
-  EXPECT_EQ(env_grain(), 2048);
-  setenv("MVCC_GRAIN", "64", 1);
-  EXPECT_EQ(env_grain(), 64);
-  setenv("MVCC_GRAIN", "0", 1);
-  EXPECT_EQ(env_grain(), 2048);  // a grain of 0 would fork every node
-  setenv("MVCC_GRAIN", "-5", 1);
-  EXPECT_EQ(env_grain(), 2048);
-  setenv("MVCC_GRAIN", "junk", 1);
-  EXPECT_EQ(env_grain(), 2048);
-  unsetenv("MVCC_GRAIN");
+  EXPECT_EQ(config_with("MVCC_GRAIN", nullptr).grain, 2048);
+  EXPECT_EQ(config_with("MVCC_GRAIN", "64").grain, 64);
+  // A grain of 0 would fork every node.
+  EXPECT_EQ(config_with("MVCC_GRAIN", "0").grain, 2048);
+  EXPECT_EQ(config_with("MVCC_GRAIN", "-5").grain, 2048);
+  EXPECT_EQ(config_with("MVCC_GRAIN", "junk").grain, 2048);
+  config_with("MVCC_GRAIN", nullptr);
 }
 
 TEST(Env, ThreadsIsPositive) {
-  unsetenv("MVCC_THREADS");
-  EXPECT_GE(env_threads(), 1);
-  setenv("MVCC_THREADS", "5", 1);
-  EXPECT_EQ(env_threads(), 5);
-  setenv("MVCC_THREADS", "-2", 1);
-  EXPECT_GE(env_threads(), 1);
-  unsetenv("MVCC_THREADS");
+  EXPECT_GE(config_with("MVCC_THREADS", nullptr).threads, 1);
+  EXPECT_EQ(config_with("MVCC_THREADS", "5").threads, 5);
+  EXPECT_GE(config_with("MVCC_THREADS", "-2").threads, 1);
+  config_with("MVCC_THREADS", nullptr);
 }
 
 TEST(Env, GrainClampsTinyValuesToFloor) {
   // Grains below kGrainFloor make bulk ops fork per handful of nodes; the
   // parser clamps them up rather than letting a typo'd knob fall off a
   // scheduling cliff. Non-positive values still mean "use the default".
-  setenv("MVCC_GRAIN", "1", 1);
-  EXPECT_EQ(env_grain(), kGrainFloor);
-  setenv("MVCC_GRAIN", "63", 1);
-  EXPECT_EQ(env_grain(), kGrainFloor);
-  setenv("MVCC_GRAIN", "64", 1);
-  EXPECT_EQ(env_grain(), 64);  // the floor itself passes through
-  unsetenv("MVCC_GRAIN");
+  EXPECT_EQ(config_with("MVCC_GRAIN", "1").grain, kGrainFloor);
+  EXPECT_EQ(config_with("MVCC_GRAIN", "63").grain, kGrainFloor);
+  // The floor itself passes through.
+  EXPECT_EQ(config_with("MVCC_GRAIN", "64").grain, 64);
+  config_with("MVCC_GRAIN", nullptr);
 }
 
 TEST(Env, ConfigFromEnvSeedsEveryKnob) {

@@ -341,6 +341,17 @@ TEST(ObsRegistry, DumpsCarryMinAndBuckets) {
             std::string::npos);
 }
 
+TEST(ObsRegistry, UnrecordedHistogramIsOmittedFromDumps) {
+  (void)obs::registry().histogram("obstest/never_recorded");
+  obs::registry().histogram("obstest/recorded").record(9);
+  const std::string text = obs::registry().dump_text();
+  const std::string json = obs::registry().dump_json();
+  EXPECT_EQ(text.find("obstest/never_recorded"), std::string::npos);
+  EXPECT_EQ(json.find("obstest/never_recorded"), std::string::npos);
+  EXPECT_NE(text.find("obstest/recorded/count=1"), std::string::npos);
+  EXPECT_NE(json.find("\"obstest/recorded/count\": 1"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Footprint sampler.
 

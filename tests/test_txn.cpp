@@ -254,6 +254,8 @@ void run_producers_vs_readers_stress() {
         auto txn = map.read_txn(0);
         EXPECT_GE(txn.map().size(), 2000u);
       }
+      // On a loaded host the reads can finish before any producer ran.
+      while (map.batches_committed() == 0) std::this_thread::yield();
       stop.store(true, std::memory_order_release);
     });
     for (auto& t : threads) t.join();
@@ -355,59 +357,132 @@ TEST(TxnYcsb, MixesMatchTheirSpecs) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred (background) reclamation: MVCC_BG_RECLAIM routes the exact
-// freed sets off the flattener's critical path (vm/base.h); these tests
-// pin the precision guarantees (live_nodes back to baseline after the
-// destructor's quiesce, even with the lane backed up at shutdown) and the
-// latency win the mode exists for.
+// Commit reclamation (alloc/reclaim.h reclaim_retired): a commit whose work
+// estimate reaches 4 * config().grain hands its retired versions to the
+// background lane unless the lane still holds a batch; smaller commits free
+// inline. These tests pin the rule, the precision guarantees (live_nodes
+// back to baseline after the destructor's quiesce) and the latency win the
+// background lane exists for.
 
-// Scoped override of the reclaim mode; restores the inline default so the
-// suites around these stay in the mode they were written for.
-struct BgReclaimGuard {
-  explicit BgReclaimGuard(bool on) { vm::set_bg_reclaim(on); }
-  ~BgReclaimGuard() { vm::set_bg_reclaim(false); }
+// Scoped override of the defer threshold, 4 * config().grain. bulk_grain
+// latches the real grain first, so the bulk ops keep their fork grain.
+struct GrainGuard {
+  explicit GrainGuard(long grain) : saved(config().grain) {
+    (void)ftree::bulk_grain();
+    config().grain = grain;
+  }
+  ~GrainGuard() { config().grain = saved; }
+  long saved;
 };
+
+// Every commit of a non-trivial map is above the threshold.
+constexpr long kDeferAll = 1;
+
+// Fills keys [0, n) and commits them.
+void fill(PswfMap& map, std::uint64_t n) {
+  for (std::uint64_t k = 0; k < n; ++k) {
+    map.submit(0, txn::BatchOp::kUpsert, k, k);
+  }
+  map.flush_all();
+}
+
+// Fills the map, then runs one-key sync commits, each of which must have
+// freed its retired path before upsert_sync returns.
+void expect_commits_free_inline(PswfMap& map) {
+  fill(map, 512);
+  const long long live = ftree::live_nodes();
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    map.upsert_sync(0, i, i + 1);
+    EXPECT_EQ(ftree::live_nodes(), live);
+  }
+}
+
+#if !defined(MVCC_STATS_DISABLED)
+TEST(TxnReclaim, LargeCommitDefersToBackgroundLane) {
+  obs::set_enabled(true);
+  obs::Counter& deferred = alloc::ReclaimStats::get().deferred;
+  const std::uint64_t deferred0 = deferred.value();
+  {
+    GrainGuard grain(kDeferAll);
+    PswfMap map(1, {});
+    fill(map, 512);
+    for (std::uint64_t i = 0; i < 20; ++i) map.upsert_sync(0, i, i + 1);
+  }
+  obs::set_enabled(false);
+  EXPECT_GT(deferred.value(), deferred0);
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
+}
+#endif  // !MVCC_STATS_DISABLED
+
+TEST(TxnReclaim, SmallCommitFreesBeforeSyncReturns) {
+  // A one-key commit is far below the default threshold.
+  obs::set_enabled(true);
+  const std::uint64_t deferred0 = alloc::ReclaimStats::get().deferred.value();
+  {
+    PswfMap map(1, {});
+    expect_commits_free_inline(map);
+  }
+  obs::set_enabled(false);
+  EXPECT_EQ(alloc::ReclaimStats::get().deferred.value(), deferred0);
+}
+
+TEST(TxnReclaim, BusyLaneSendsLargeCommitInline) {
+  // Occupy the lane with one batch that cannot finish until `open` is set.
+  std::atomic<bool> open{false};
+  alloc::reclaim_batch(std::vector<int*>{new int(0)},
+                       alloc::ReclaimLane::kBackground, [&open](int* p) {
+                         while (!open.load(std::memory_order_acquire)) {
+                           std::this_thread::yield();
+                         }
+                         delete p;
+                       });
+  {
+    GrainGuard grain(kDeferAll);
+    PswfMap map(1, {});
+    expect_commits_free_inline(map);
+    EXPECT_EQ(alloc::reclaim_queue_depth().load(), 1);
+    open.store(true, std::memory_order_release);
+  }
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
+}
 
 TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
   const long long base_live = ftree::live_nodes();
   {
-    BgReclaimGuard bg(true);
+    GrainGuard grain(kDeferAll);
     PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/64);
     for (std::uint64_t i = 0; i < 2000; ++i) {
       map.submit(static_cast<int>(i % 2), txn::BatchOp::kUpsert, i % 512, i);
-      if (i % 97 == 0) {
-        // Reader releases route through the background lane too.
-        (void)map.get(static_cast<int>(i % 2), i % 512);
-      }
+      if (i % 97 == 0) (void)map.get(static_cast<int>(i % 2), i % 512);
     }
     map.flush_all();
   }
   // ~BatchingMap quiesced the lane: every deferred batch has been freed.
   EXPECT_EQ(ftree::live_nodes(), base_live);
-  EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
   const long long base_live = ftree::live_nodes();
   {
-    BgReclaimGuard bg(true);
-    // max_batch=1 maximizes retirements: nearly every commit publishes a
-    // deferred batch, so the lane is still backed up when the destructor
-    // runs (no flush, no explicit quiesce — teardown must drain it; the
-    // ASan tier turns any miss into a leak report).
+    GrainGuard grain(kDeferAll);
+    // max_batch=1 maximizes retirements: every commit either claims the
+    // lane or frees inline behind it, so a batch is usually still pending
+    // when the destructor runs (no flush, no explicit quiesce — teardown
+    // must drain it; the ASan tier turns any miss into a leak report).
     PswfMap map(1, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/1);
     for (std::uint64_t i = 0; i < 1500; ++i) {
       map.submit(0, txn::BatchOp::kUpsert, i % 1024, i);
     }
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
-  EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
   const long long base_live = ftree::live_nodes();
   {
-    BgReclaimGuard bg(true);
+    GrainGuard grain(kDeferAll);
     PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/32);
     std::atomic<bool> stop{false};
     std::thread reader([&] {
@@ -438,70 +513,67 @@ TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
 // destructor. shared_ptr copies (ring slots, path-copied tree nodes) cost
 // nothing; only the final release — which happens when a retirement sweep
 // frees the last tree node holding the value — pays the sleep. That gives
-// the inline sweep a scheduler-independent cost floor of (overwrites per
-// batch) * kRetireCost, far above timing noise, instead of asking two
-// allocator-bound runs to out-race each other.
+// an inline sweep a scheduler-independent cost floor far above timing
+// noise, instead of asking two allocator-bound runs to out-race each other.
 struct SlowToFree {
-  static constexpr std::chrono::microseconds kRetireCost{100};
+  static constexpr std::chrono::milliseconds kRetireCost{20};
   ~SlowToFree() { std::this_thread::sleep_for(kRetireCost); }
 };
 
-// p99 submit-to-visible latency of upsert_sync under heavy-destructor
-// payloads: inline reclaim pays every retirement on the commit path the
-// sync waiter is parked on; deferred reclaim publishes it to the
-// background lane in O(1).
-double p99_sync_commit_us(bool bg_reclaim) {
+// p99 latency of an upsert_sync whose commit retires a SlowToFree, with the
+// defer threshold at `grain`'s. Below the threshold the commit path the
+// sync waiter is parked on pays the destructor; above it the commit
+// publishes the retired version to the background lane in O(1).
+double p99_sync_commit_us(long grain) {
   using Slow = std::shared_ptr<SlowToFree>;
   using NMap = txn::BatchingMap<std::uint64_t, Slow,
                                 ftree::NoAug<std::uint64_t, Slow>,
                                 vm::PswfVersionManager>;
-  // Keys recycle every 4 rounds (512 ops) while the 256-slot ring drops
-  // its value copy after 256 ops, so by the time a key is overwritten the
-  // retired version holds the LAST reference and the sweep runs the
-  // destructor. A ring deeper than the recycle distance would keep values
-  // alive past retirement and hide the very cost this test measures.
-  constexpr int kWarmRounds = 6;  // recycling starts on round 4
-  constexpr int kMeasuredRounds = 32;
-  constexpr std::uint64_t kOpsPerRound = 128;
-  constexpr std::uint64_t kKeySpace = 512;
-  BgReclaimGuard bg(bg_reclaim);
+  constexpr std::uint64_t kRounds = 32;
+  GrainGuard guard(grain);
+  // The lane holds one batch at a time and a commit behind a busy lane
+  // frees inline by design, so every commit here starts on an idle lane.
+  const auto idle_lane = [] {
+    while (alloc::reclaim_queue_depth().load() != 0) std::this_thread::yield();
+  };
+  std::vector<std::pair<std::uint64_t, Slow>> base;
+  for (std::uint64_t k = 0; k < 512; ++k) base.emplace_back(k, Slow{});
   obs::LatencyHistogram lat;
-  NMap map(1, {}, /*buffer_capacity=*/256, /*max_batch=*/256);
-  std::uint64_t key = 0;
-  for (int r = 0; r < kWarmRounds + kMeasuredRounds; ++r) {
-    for (std::uint64_t i = 0; i + 1 < kOpsPerRound; ++i, ++key) {
-      map.submit(0, txn::BatchOp::kUpsert, key % kKeySpace,
-                 std::make_shared<SlowToFree>());
-    }
-    // The submit burst above took microseconds; in inline mode the
-    // flattener cannot have swept this round's ~127 retirements yet (each
-    // sleeps kRetireCost), so this wait provably includes most of them.
+  // A one-slot ring drops its copy of a value at the next submit, so when
+  // a key's SlowToFree is overwritten the retired version holds the last
+  // reference.
+  NMap map(1, NMap::Map::from_entries(base), /*buffer_capacity=*/1,
+           /*max_batch=*/1);
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    const std::uint64_t key = 1000 + r;
+    idle_lane();
+    map.upsert_sync(0, key, std::make_shared<SlowToFree>());
+    idle_lane();
     Timer t;
-    map.upsert_sync(0, key % kKeySpace, Slow{});
-    ++key;
-    if (r >= kWarmRounds) lat.record(t.nanos());
+    map.upsert_sync(0, key, Slow{});
+    lat.record(t.nanos());
   }
-  map.flush_all();
   return lat.quantile(0.99) / 1000.0;
 }
 
 TEST(ReclaimLatency, SyncCommitP99DoesNotInheritRetirementFrees) {
   const long long base_live = ftree::live_nodes();
-  const double inline_p99_us = p99_sync_commit_us(false);
-  const double bg_p99_us = p99_sync_commit_us(true);
+  // At the default grain every one-key commit here is below the
+  // threshold; at kDeferAll every one is above it.
+  const double inline_p99_us = p99_sync_commit_us(config().grain);
+  const double bg_p99_us = p99_sync_commit_us(kDeferAll);
   RecordProperty("inline_p99_us", static_cast<int>(inline_p99_us));
   RecordProperty("bg_p99_us", static_cast<int>(bg_p99_us));
-  // Inline mode's p99 has a hard floor of several milliseconds (a round's
-  // worth of kRetireCost destructor sleeps on the commit path); deferred
-  // mode's p99 is ordinary commit latency, orders of magnitude below it.
+  // Inline p99 has a hard floor of kRetireCost (the destructor sleep on
+  // the commit path); deferred p99 is ordinary commit latency, far below.
   EXPECT_GT(inline_p99_us, 1000.0)
       << "workload no longer puts retirement frees on the sync path";
   EXPECT_LT(bg_p99_us, inline_p99_us)
       << "inline p99 " << inline_p99_us << "us vs bg p99 " << bg_p99_us
       << "us";
-  // Both modes stay precise: everything freed once both maps are gone.
+  // Both lanes stay precise: everything freed once both maps are gone.
   EXPECT_EQ(ftree::live_nodes(), base_live);
-  EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(TxnYcsb, DatasetIsDeterministicAndCoversKeySpace) {

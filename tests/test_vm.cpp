@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "mvcc/alloc/reclaim.h"
 #include "mvcc/common/timing.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/vm/base.h"
@@ -398,10 +399,10 @@ void RunWorkloadSmoke() {
 }
 
 // ---------------------------------------------------------------------------
-// reclaim_payloads / reclaim_quiesce (vm/base.h): the deferred-reclaim
-// plumbing frees every payload exactly once in either mode. Double frees
-// would drive the live counter negative (and trip ASan); leaks leave it
-// positive.
+// A client may free a returned payload later and on another thread (the
+// alloc/ background lane): the claim protocol still hands each payload back
+// exactly once. Double frees would drive the live counter negative (and
+// trip ASan); leaks leave it positive.
 
 struct CountedPayload {
   static std::atomic<int> live;
@@ -410,57 +411,31 @@ struct CountedPayload {
 };
 std::atomic<int> CountedPayload::live{0};
 
-TEST(VmReclaim, InlineModeFreesImmediately) {
-  set_bg_reclaim(false);
-  std::vector<CountedPayload*> batch;
-  for (int i = 0; i < 50; ++i) batch.push_back(new CountedPayload());
-  EXPECT_EQ(CountedPayload::live.load(), 50);
-  reclaim_payloads(std::move(batch));
-  EXPECT_EQ(CountedPayload::live.load(), 0);
-  EXPECT_EQ(reclaim_queue_depth().load(), 0);
-}
-
-TEST(VmReclaim, DeferredModeFreesExactlyOnceAfterQuiesce) {
-  set_bg_reclaim(true);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<CountedPayload*> batch;
-    for (int i = 0; i < 40; ++i) batch.push_back(new CountedPayload());
-    reclaim_payloads(std::move(batch));
-  }
-  reclaim_quiesce();
-  set_bg_reclaim(false);
-  EXPECT_EQ(CountedPayload::live.load(), 0);
-  EXPECT_EQ(reclaim_queue_depth().load(), 0);
-}
-
 TEST(VmReclaim, PreciseFreedSetsStayExactWhenDeferred) {
   // A PSWF writer churning versions with a concurrent reader, every
-  // returned freed set routed through the background lane: the claim CAS
-  // hands each payload back exactly once, so deferral frees each exactly
-  // once — the live counter lands on zero, never below.
-  set_bg_reclaim(true);
+  // returned freed set routed through the background lane.
+  constexpr auto kLane = mvcc::alloc::ReclaimLane::kBackground;
   {
     PswfVersionManager<CountedPayload> vm(2, new CountedPayload());
     std::atomic<bool> stop{false};
     std::thread reader([&] {
       while (!stop.load(std::memory_order_acquire)) {
         (void)vm.acquire(1);
-        reclaim_payloads(vm.release(1));
+        mvcc::alloc::reclaim_batch(vm.release(1), kLane);
       }
     });
     for (int i = 0; i < 3000; ++i) {
       (void)vm.acquire(0);
-      reclaim_payloads(vm.set(0, new CountedPayload()));
-      reclaim_payloads(vm.release(0));
+      mvcc::alloc::reclaim_batch(vm.set(0, new CountedPayload()), kLane);
+      mvcc::alloc::reclaim_batch(vm.release(0), kLane);
     }
     stop.store(true, std::memory_order_release);
     reader.join();
     for (CountedPayload* p : vm.shutdown_drain()) delete p;
   }
-  reclaim_quiesce();
-  set_bg_reclaim(false);
+  mvcc::alloc::reclaim_quiesce();
   EXPECT_EQ(CountedPayload::live.load(), 0);
-  EXPECT_EQ(reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(mvcc::alloc::reclaim_queue_depth().load(), 0);
 }
 
 // --- acquire_version_vector: the cross-manager validate-retry helper ------
