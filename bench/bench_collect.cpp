@@ -128,20 +128,20 @@ BENCHMARK(BM_PlmCollectSharedPrefix)->Arg(100)->Arg(10000);
 BENCHMARK(BM_TreeCollectWholeTree)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TreeCollectOneVersionOfMany)->Arg(1000)->Arg(100000);
 
-// Hand-rolled BENCHMARK_MAIN so the observability session (footprint
-// sampler, trace dump) and the hardware counters bracket exactly the
-// benchmark runs, not static init/teardown.
+// Hand-rolled BENCHMARK_MAIN so the hardware counters bracket exactly the
+// benchmark runs, not static init/teardown, and the observability session
+// (footprint sampler, trace dump, registry JSON) also covers the self-check,
+// keeping its JSON block last on stdout.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   {
-    mvcc::bench::ObsSession obs_session;
-    mvcc::obs::PerfCell perf("");
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  print_selfcheck();
-  if (mvcc::obs::enabled()) {
-    std::fputs(mvcc::obs::registry().dump_text("collect/").c_str(), stdout);
+    mvcc::bench::ObsSession obs_session("collect");
+    {
+      mvcc::obs::PerfCell perf("");
+      benchmark::RunSpecifiedBenchmarks();
+    }
+    print_selfcheck();
   }
   benchmark::Shutdown();
   return 0;

@@ -13,18 +13,20 @@
 // worker count. Expected shape: "ours" at or above the best baseline on all
 // three mixes (the paper reports +20%-300%).
 //
-// Every cell is a duration-based steady-state run: workers start, the
-// structure warms for MVCC_WARMUP_SECONDS, then per-thread op counters are
-// snapshotted and the MVCC_SECONDS window is measured. Every 64th op inside
-// the window is latency-sampled into log-bucketed histograms, reported as a
-// second table of p50/p99/p999 read and update-op quantiles (for "ours" the
-// update op is the async submit; sync commit latency is bench_batching's
-// column and the txn/commit_latency_ns registry metric).
-#include <atomic>
+// Every cell is a bench::SteadyState run: workers start, the structure
+// warms for MVCC_WARMUP_SECONDS, then the MVCC_SECONDS window is measured.
+// Every 64th op inside the window is latency-sampled into the cell's
+// registry histograms, reported as a second table of p50/p99/p999 read and
+// update-op quantiles in ns. For "ours" the update op is the async submit,
+// so its histogram is named submit_ns and the cell also reports committed
+// updates; sync commit latency is bench_batching's column and the
+// txn/commit_latency_ns registry metric.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -56,93 +58,57 @@ struct CellConfig {
   double seconds;
 };
 
-struct CellResult {
-  double mops = 0;
-  double read_us[3] = {0, 0, 0};  // p50, p99, p999
-  double upd_us[3] = {0, 0, 0};
-};
-
-struct alignas(64) PaddedCount {
-  std::atomic<std::uint64_t> v{0};
-};
-
-// Steady-state harness shared by every structure. Adapter provides
-// read(t, key) -> sink contribution and update(t, key, val); finish() runs
-// after the workers join, outside the measured window.
+// One structure under one workload: a steady-state YCSB cell recorded in
+// the registry as <name>/ops_per_s (issued ops), <name>/read_ns and
+// <name>/<update_metric>, plus <name>/upd_committed_ops_per_s when the
+// caller passes a committed-ops source. Adapter provides read(t, key) ->
+// sink contribution and update(t, key, val); finish() runs after the
+// workers join, outside the measured window.
 template <class Adapter>
-CellResult run_cell(Adapter& ad, const YcsbSpec& spec,
-                    const ZipfGenerator& zipf, const CellConfig& cfg,
-                    const std::string& label) {
+void run_cell(Adapter& ad, const YcsbSpec& spec, const ZipfGenerator& zipf,
+              const CellConfig& cfg, const std::string& name,
+              const char* update_metric,
+              std::vector<bench::Source> committed = {}) {
   constexpr std::uint64_t kSampleMask = 63;  // every 64th op in the window
-  std::atomic<bool> stop{false};
-  std::atomic<bool> measuring{false};
-  std::atomic<std::uint64_t> sink{0};
-  std::vector<PaddedCount> counts(static_cast<std::size_t>(cfg.threads));
-  obs::LatencyHistogram read_lat;
-  obs::LatencyHistogram upd_lat;
-
-  // Opened before the workers spawn: perf inherit only covers threads
-  // created after the counters exist. Reports perf/<label>/* on scope exit.
-  obs::PerfCell perf(label);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.threads; ++t) {
-    threads.emplace_back([&, t] {
-      YcsbStream stream(spec, zipf, 1000 + static_cast<std::uint64_t>(t));
-      std::uint64_t local = 0;
-      std::uint64_t ops = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        auto op = stream.next();
-        const bool sample = measuring.load(std::memory_order_relaxed) &&
-                            (ops & kSampleMask) == kSampleMask;
-        if (op.type == YcsbOp::kRead) {
-          if (sample) {
-            Timer tm;
-            local += ad.read(t, op.key);
-            read_lat.record(tm.nanos());
+  auto& reg = obs::registry();
+  auto& read_ns = reg.histogram(name + "/read_ns");
+  auto& upd_ns = reg.histogram(name + "/" + update_metric);
+  bench::SteadyState cell(name);
+  const bench::Window w = cell.run(
+      cfg.threads, cfg.warmup, cfg.seconds,
+      [&](int t) {
+        return [&, t, stream = YcsbStream(spec, zipf,
+                                          1000 + static_cast<std::uint64_t>(t))](
+                   std::uint64_t i, bool measuring) mutable {
+          const YcsbOp op = stream.next();
+          const bool sample = measuring && (i & kSampleMask) == kSampleMask;
+          std::uint64_t out = 0;
+          if (op.type == YcsbOp::kRead) {
+            if (sample) {
+              Timer tm;
+              out = ad.read(t, op.key);
+              read_ns.record(tm.nanos());
+            } else {
+              out = ad.read(t, op.key);
+            }
           } else {
-            local += ad.read(t, op.key);
+            if (sample) {
+              Timer tm;
+              ad.update(t, op.key, i);
+              upd_ns.record(tm.nanos());
+            } else {
+              ad.update(t, op.key, i);
+            }
           }
-        } else {
-          if (sample) {
-            Timer tm;
-            ad.update(t, op.key, ops);
-            upd_lat.record(tm.nanos());
-          } else {
-            ad.update(t, op.key, ops);
-          }
-        }
-        ++ops;
-        counts[static_cast<std::size_t>(t)].v.store(
-            ops, std::memory_order_relaxed);
-      }
-      sink.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-
-  auto total = [&] {
-    std::uint64_t s = 0;
-    for (const auto& c : counts) s += c.v.load(std::memory_order_relaxed);
-    return s;
-  };
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.warmup));
-  measuring.store(true, std::memory_order_relaxed);
-  obs::Delta window_ops(total);
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.seconds));
-  const std::uint64_t ops = window_ops.delta();
-  const double secs = timer.seconds();
-  stop.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
+          return out;
+        };
+      },
+      std::move(committed));
   ad.finish();
-
-  CellResult r;
-  r.mops = static_cast<double>(ops) / secs / 1e6;
-  const double qs[3] = {0.50, 0.99, 0.999};
-  for (int i = 0; i < 3; ++i) {
-    r.read_us[i] = read_lat.quantile(qs[i]) / 1e3;
-    r.upd_us[i] = upd_lat.quantile(qs[i]) / 1e3;
+  reg.gauge(name + "/ops_per_s").set(w.per_s(w.ops));
+  if (!w.sources.empty()) {
+    reg.gauge(name + "/upd_committed_ops_per_s").set(w.per_s(w.sources[0]));
   }
-  return r;
 }
 
 // Plain concurrent-map interface (upsert/find).
@@ -158,18 +124,19 @@ struct PlainAdapter {
 };
 
 template <typename M>
-CellResult run_plain(M& m, const YcsbSpec& spec, const ZipfGenerator& zipf,
-                     const CellConfig& cfg, const std::string& label) {
+void run_plain(M& m, const YcsbSpec& spec, const ZipfGenerator& zipf,
+               const CellConfig& cfg, const std::string& name) {
   const auto dataset = workload::ycsb_dataset(cfg.keys);
   for (const auto& [k, v] : dataset) m.upsert(k, v);
   PlainAdapter<M> ad{m};
-  return run_cell(ad, spec, zipf, cfg, label);
+  run_cell(ad, spec, zipf, cfg, name, "update_ns");
 }
 
 // Our batched multiversion map: reads acquire the current version through
 // the VM, updates are submissions to the batching writer; the final flush
-// runs outside the window (at steady state admission control ties the
-// submit rate to the commit rate, so counting submits is fair).
+// runs outside the window. ops_per_s counts submits like every other
+// column's updates; upd_committed_ops_per_s counts what the flattener
+// committed in the same window.
 //
 // The paper's Figure 7 turns GC off for every structure ("we are interested
 // in the performance of the trees and not the GC"), which for ours means
@@ -177,8 +144,8 @@ CellResult run_plain(M& m, const YcsbSpec& spec, const ZipfGenerator& zipf,
 // the Base VM. The PSWF variant ("ours+gc") is reported as an extra column
 // to show the full-system cost the paper's Table 2 measures separately.
 template <template <typename> class VMImpl>
-CellResult run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
-                    const CellConfig& cfg, const std::string& label) {
+void run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
+              const CellConfig& cfg, const std::string& name) {
   using BMap = txn::BatchingMap<std::uint64_t, std::uint64_t,
                                 ftree::NoAug<std::uint64_t, std::uint64_t>,
                                 VMImpl>;
@@ -197,7 +164,8 @@ CellResult run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
     }
     void finish() { m.flush_all(); }
   } ad{map};
-  return run_cell(ad, spec, zipf, cfg, label);
+  run_cell(ad, spec, zipf, cfg, name, "submit_ns",
+           {[&map] { return map.ops_committed(); }});
 }
 
 // --- Sharded multi-writer scale-out (ROADMAP's "millions of users" lever)
@@ -209,176 +177,147 @@ CellResult run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
 // and every 8192nd op takes a cross-shard snapshot and reads through it,
 // exercising the version-vector validate-retry path under load. The
 // update column is COMMITTED ops (the flattener ceiling sharding lifts),
-// not submits; expected shape on a multi-core host is upd_mops rising
-// monotonically with the shard count.
-struct ShardedCell {
-  double mops = 0;      // total issued ops (reads + update submits)
-  double upd_mops = 0;  // committed updates across shards
-  std::uint64_t snapshots = 0;
-  std::uint64_t snap_retries = 0;
-};
-
-ShardedCell run_sharded(int nshards, const CellConfig& cfg) {
+// not submits; expected shape on a multi-core host is upd_ops_per_s rising
+// monotonically with the shard count. Recorded as shardscale/s<N>/*.
+void run_sharded(int nshards, const CellConfig& cfg) {
   using SMap =
       txn::ShardedMap<std::uint64_t, std::uint64_t,
                       ftree::NoAug<std::uint64_t, std::uint64_t>,
                       vm::PswfVersionManager>;
   constexpr std::uint64_t kSnapshotMask = 8191;  // every 8192nd op
+  const std::string name = "shardscale/s" + std::to_string(nshards);
   workload::PartitionedYcsb part(workload::kYcsbA, cfg.keys, cfg.threads);
   std::vector<std::vector<YcsbOp>> streams;
   streams.reserve(static_cast<std::size_t>(cfg.threads));
   for (int t = 0; t < cfg.threads; ++t) {
     streams.push_back(part.stream(t, std::size_t{1} << 15));
   }
-  obs::PerfCell perf("sharded/s" + std::to_string(nshards));
+  bench::SteadyState cell(name);
   SMap map(cfg.threads, workload::ycsb_dataset(cfg.keys), nshards);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> sink{0};
-  std::vector<PaddedCount> counts(static_cast<std::size_t>(cfg.threads));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < cfg.threads; ++t) {
-    threads.emplace_back([&, t] {
-      const auto& stream = streams[static_cast<std::size_t>(t)];
-      std::uint64_t local = 0;
-      std::uint64_t ops = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        const YcsbOp& op = stream[ops % stream.size()];
-        if ((ops & kSnapshotMask) == kSnapshotMask) {
-          auto snap = map.snapshot(t);
-          const std::uint64_t* v = snap.find(op.key);
-          local += v != nullptr ? *v : 0;
-        } else if (op.type == YcsbOp::kRead) {
-          auto v = map.get(t, op.key);
-          local += v.has_value() ? *v : 0;
-        } else {
-          map.submit(t, txn::BatchOp::kUpsert, op.key, ops);
-        }
-        ++ops;
-        counts[static_cast<std::size_t>(t)].v.store(
-            ops, std::memory_order_relaxed);
-      }
-      sink.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-
-  auto total = [&] {
-    std::uint64_t s = 0;
-    for (const auto& c : counts) s += c.v.load(std::memory_order_relaxed);
-    return s;
-  };
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.warmup));
-  obs::Delta issued(total);
-  obs::Delta committed([&map] { return map.ops_committed(); });
-  Timer timer;
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.seconds));
-  const std::uint64_t ops = issued.delta();
-  const std::uint64_t upd = committed.delta();
-  const double secs = timer.seconds();
-  stop.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
+  const bench::Window w = cell.run(
+      cfg.threads, cfg.warmup, cfg.seconds,
+      [&](int t) {
+        return [&map, t, &stream = streams[static_cast<std::size_t>(t)]](
+                   std::uint64_t i, bool) -> std::uint64_t {
+          const YcsbOp& op = stream[i % stream.size()];
+          if ((i & kSnapshotMask) == kSnapshotMask) {
+            auto snap = map.snapshot(t);
+            const std::uint64_t* v = snap.find(op.key);
+            return v != nullptr ? *v : 0;
+          }
+          if (op.type == YcsbOp::kRead) {
+            auto v = map.get(t, op.key);
+            return v.has_value() ? *v : 0;
+          }
+          map.submit(t, txn::BatchOp::kUpsert, op.key, i);
+          return 0;
+        };
+      },
+      {[&map] { return map.ops_committed(); }});
   map.flush_all();
 
-  ShardedCell r;
-  r.mops = static_cast<double>(ops) / secs / 1e6;
-  r.upd_mops = static_cast<double>(upd) / secs / 1e6;
-  r.snapshots = map.snapshots_taken();
-  r.snap_retries = map.snapshot_retries();
-  return r;
+  auto& reg = obs::registry();
+  reg.gauge(name + "/ops_per_s").set(w.per_s(w.ops));
+  reg.gauge(name + "/upd_ops_per_s").set(w.per_s(w.sources[0]));
+  reg.gauge(name + "/snapshots")
+      .set(static_cast<std::int64_t>(map.snapshots_taken()));
+  reg.gauge(name + "/snap_retries")
+      .set(static_cast<std::int64_t>(map.snapshot_retries()));
+}
+
+// A throughput gauge a cell recorded, as a Mop/s table cell.
+std::string mops(const std::string& gauge) {
+  return bench::fmt(
+      static_cast<double>(obs::registry().gauge(gauge).value()) / 1e6);
 }
 
 }  // namespace
 
 int main() {
-  bench::ObsSession obs_session;
+  bench::ObsSession obs_session("fig7");
   CellConfig cfg;
   cfg.keys = static_cast<std::uint64_t>(config().scaled(200000));
-  cfg.threads = static_cast<int>(env_long(
-      "MVCC_THREADS",
-      std::max(2u, std::thread::hardware_concurrency())));
+  cfg.threads = bench::worker_threads(
+      static_cast<int>(std::max(2u, std::thread::hardware_concurrency())));
   cfg.warmup = bench::warmup_seconds();
   cfg.seconds = bench::cell_seconds();
 
   ZipfGenerator zipf(cfg.keys, 0.99);
   const YcsbSpec specs[] = {workload::kYcsbA, workload::kYcsbB,
                             workload::kYcsbC};
-  const char* columns[] = {"ours",     "ours+gc", "cow-nobatch", "skiplist",
-                           "ext-bst",  "b+tree",  "hash"};
-  constexpr int kStructures = 7;
-  CellResult results[3][kStructures];
+  const std::vector<std::string> columns = {
+      "ours", "ours+gc", "cow-nobatch", "skiplist", "ext-bst", "b+tree",
+      "hash"};
 
-  for (int w = 0; w < 3; ++w) {
-    const YcsbSpec& spec = specs[w];
+  for (const YcsbSpec& spec : specs) {
     std::fprintf(stderr, "fig7: workload %s...\n", spec.name.data());
-    const std::string wl(spec.name);
-    results[w][0] =
-        run_ours<vm::BaseVersionManager>(spec, zipf, cfg, wl + "/ours");
-    results[w][1] =
-        run_ours<vm::PswfVersionManager>(spec, zipf, cfg, wl + "/ours+gc");
+    const std::string wl = std::string(spec.name) + "/";
+    run_ours<vm::BaseVersionManager>(spec, zipf, cfg, wl + "ours");
+    run_ours<vm::PswfVersionManager>(spec, zipf, cfg, wl + "ours+gc");
     {
       baselines::CowTreeNoBatch m;
-      results[w][2] = run_plain(m, spec, zipf, cfg, wl + "/cow-nobatch");
+      run_plain(m, spec, zipf, cfg, wl + "cow-nobatch");
     }
     {
       baselines::LockFreeSkipList m;
-      results[w][3] = run_plain(m, spec, zipf, cfg, wl + "/skiplist");
+      run_plain(m, spec, zipf, cfg, wl + "skiplist");
     }
     {
       baselines::ExternalBst m;
-      results[w][4] = run_plain(m, spec, zipf, cfg, wl + "/ext-bst");
+      run_plain(m, spec, zipf, cfg, wl + "ext-bst");
     }
     {
       baselines::BPlusTree m;
-      results[w][5] = run_plain(m, spec, zipf, cfg, wl + "/b+tree");
+      run_plain(m, spec, zipf, cfg, wl + "b+tree");
     }
     {
       baselines::ShardedHashMap m(cfg.keys * 2);
-      results[w][6] = run_plain(m, spec, zipf, cfg, wl + "/hash");
+      run_plain(m, spec, zipf, cfg, wl + "hash");
     }
   }
 
   bench::print_header("Figure 7: YCSB throughput (Mop/s), six structures");
   std::printf("(keys=%llu threads=%d warmup=%.2fs measure=%.2fs per cell; "
-              "paper: 5e7 keys, 144 threads)\n",
+              "paper: 5e7 keys, 144 threads; *_upd = ours' committed "
+              "updates)\n",
               static_cast<unsigned long long>(cfg.keys), cfg.threads,
               cfg.warmup, cfg.seconds);
-  bench::Table tput({"workload", "ours", "ours+gc", "cow-nobatch", "skiplist",
-                     "ext-bst", "b+tree", "hash"});
-  for (int w = 0; w < 3; ++w) {
-    std::vector<std::string> row{std::string(specs[w].name)};
-    for (int s = 0; s < kStructures; ++s) {
-      row.push_back(bench::fmt(results[w][s].mops));
+  std::vector<std::string> header = {"workload"};
+  header.insert(header.end(), columns.begin(), columns.end());
+  header.insert(header.end(), {"ours_upd", "ours+gc_upd"});
+  bench::Table tput(std::move(header));
+  for (const YcsbSpec& spec : specs) {
+    const std::string wl = std::string(spec.name) + "/";
+    std::vector<std::string> row{std::string(spec.name)};
+    for (const auto& c : columns) row.push_back(mops(wl + c + "/ops_per_s"));
+    for (const char* c : {"ours", "ours+gc"}) {
+      row.push_back(mops(wl + c + "/upd_committed_ops_per_s"));
     }
     tput.add_row(std::move(row));
   }
   tput.print();
 
   bench::print_header(
-      "Figure 7 steady-state latency (us, sampled every 64th op)");
-  bench::Table lat({"structure", "workload", "read_p50_us", "read_p99_us",
-                    "read_p999_us", "upd_p50_us", "upd_p99_us",
-                    "upd_p999_us"});
-  for (int s = 0; s < kStructures; ++s) {
-    for (int w = 0; w < 3; ++w) {
-      const CellResult& r = results[w][s];
-      lat.add_row({columns[s], std::string(specs[w].name),
-                   bench::fmt(r.read_us[0], 1), bench::fmt(r.read_us[1], 1),
-                   bench::fmt(r.read_us[2], 1), bench::fmt(r.upd_us[0], 1),
-                   bench::fmt(r.upd_us[1], 1), bench::fmt(r.upd_us[2], 1)});
+      "Figure 7 steady-state latency (ns, sampled every 64th op; "
+      "ours' update op is the async submit)");
+  bench::Table lat({"structure", "workload", "read_p50_ns", "read_p99_ns",
+                    "read_p999_ns", "upd_p50_ns", "upd_p99_ns",
+                    "upd_p999_ns"});
+  for (const auto& column : columns) {
+    const char* upd =
+        column.starts_with("ours") ? "/submit_ns" : "/update_ns";
+    for (const YcsbSpec& spec : specs) {
+      const std::string cell = std::string(spec.name) + "/" + column;
+      const auto& r = obs::registry().histogram(cell + "/read_ns");
+      const auto& u = obs::registry().histogram(cell + upd);
+      lat.add_row({column, std::string(spec.name),
+                   bench::fmt_ns(r, 0.50), bench::fmt_ns(r, 0.99),
+                   bench::fmt_ns(r, 0.999), bench::fmt_ns(u, 0.50),
+                   bench::fmt_ns(u, 0.99), bench::fmt_ns(u, 0.999)});
     }
   }
   lat.print();
 
-  // Sharded scale-out: MVCC_SHARDS pins a single count (CI runs one
-  // process per count for crash isolation); unset sweeps 1/2/4 so one run
-  // prints the whole scaling table.
-  std::vector<int> shard_counts;
-  const long forced_shards = env_long("MVCC_SHARDS", 0);
-  if (forced_shards > 0) {
-    shard_counts.push_back(static_cast<int>(forced_shards));
-  } else {
-    shard_counts = {1, 2, 4};
-  }
   bench::print_header(
       "Sharded YCSB A scale-out (partitioned driver, update = committed)");
   std::printf("(keys=%llu producers=%d warmup=%.2fs measure=%.2fs per row; "
@@ -387,22 +326,20 @@ int main() {
               cfg.warmup, cfg.seconds);
   bench::Table sharded_table(
       {"shards", "mops", "upd_mops", "snapshots", "snap_retries"});
-  for (int n : shard_counts) {
+  for (int n : bench::shard_sweep()) {
     std::fprintf(stderr, "fig7: sharded shards=%d...\n", n);
-    const ShardedCell r = run_sharded(n, cfg);
-    sharded_table.add_row({std::to_string(n), bench::fmt(r.mops),
-                           bench::fmt(r.upd_mops),
-                           std::to_string(r.snapshots),
-                           std::to_string(r.snap_retries)});
+    run_sharded(n, cfg);
+    const std::string row = "shardscale/s" + std::to_string(n) + "/";
+    auto& reg = obs::registry();
+    sharded_table.add_row(
+        {std::to_string(n), mops(row + "ops_per_s"),
+         mops(row + "upd_ops_per_s"),
+         std::to_string(reg.gauge(row + "snapshots").value()),
+         std::to_string(reg.gauge(row + "snap_retries").value())});
   }
   sharded_table.print();
   std::printf("expected shape: upd_mops rises monotonically with shards on "
               "a multi-core host\n(one flattener per shard; shards=1 is the "
               "single-flattener write ceiling).\n");
-
-  if (obs::enabled()) {
-    bench::print_header("metrics (obs registry)");
-    std::fputs(obs::registry().dump_text("fig7/").c_str(), stdout);
-  }
   return 0;
 }

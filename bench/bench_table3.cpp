@@ -9,9 +9,12 @@
 // Paper corpus: Wikipedia 2016 (8.13M docs, 1.6e9 pairs); here a synthetic
 // Zipf corpus of the same shape (see DESIGN.md 3.8). Scale with MVCC_SCALE.
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -159,21 +162,30 @@ Run run_setting(const Workload& w, int query_threads) {
 }  // namespace
 
 int main() {
+  bench::ObsSession obs_session("table3");
   const Workload w = make_workload();
   bench::print_header(
       "Table 3: inverted index -- concurrent updates+queries vs separate");
   std::printf("(synthetic Zipf corpus; paper: Wikipedia, 144 threads, 30s "
-              "windows, p in {10,20,40,80})\n");
+              "windows, p in {10,20,40,80}; seconds)\n");
   bench::print_row({"p", "Tu", "Tq", "Tu+Tq", "Tu+q"});
   const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
   std::vector<int> ps;
   for (int p = 1; p <= static_cast<int>(hw); p *= 2) ps.push_back(p);
   for (int p : ps) {
     std::fprintf(stderr, "table3: p=%d query threads...\n", p);
-    Run r = run_setting(w, p);
-    bench::print_row({std::to_string(p), bench::fmt(r.tu, 2),
-                      bench::fmt(r.tq, 2), bench::fmt(r.tu + r.tq, 2),
-                      bench::fmt(r.tuq, 2)});
+    const Run r = run_setting(w, p);
+    // Recorded as table3/p<N>/<column>_ns; the row prints the same values.
+    const std::string cell = std::string("p") + std::to_string(p) + "/";
+    std::vector<std::string> row{std::to_string(p)};
+    for (const auto& [column, s] :
+         {std::pair{"Tu", r.tu}, std::pair{"Tq", r.tq},
+          std::pair{"TuplusTq", r.tu + r.tq}, std::pair{"Tuplusq", r.tuq}}) {
+      const std::int64_t ns = std::llround(s * 1e9);
+      obs::registry().gauge(cell + column + "_ns").set(ns);
+      row.push_back(bench::fmt(static_cast<double>(ns) / 1e9, 2));
+    }
+    bench::print_row(row);
   }
   std::printf("shape check: Tu + Tq should be close to Tu+q (the paper's "
               "finding that concurrency is nearly free)\n");
