@@ -96,14 +96,18 @@ inline std::string fmt(double v, int precision = 3) {
 
 inline std::string fmt_int(long long v) { return std::to_string(v); }
 
-// Benchmark wall-clock budget per measured cell, seconds.
-inline double cell_seconds() { return env_double("MVCC_SECONDS", 0.4); }
+// Measured window per bench cell, seconds (MVCC_SECONDS); a non-positive
+// one would report zeros as data, so it means the default.
+inline double cell_seconds() {
+  const double v = env_double("MVCC_SECONDS", 0.4);
+  return v > 0 ? v : 0.4;
+}
 
 // Warm-up run before each measured cell of a duration-based steady-state
 // bench (ScaleStore-driver style): threads run the full workload, nothing
-// is recorded until the warm-up elapses.
+// is recorded until the warm-up elapses. MVCC_WARMUP_SECONDS, floored at 0.
 inline double warmup_seconds() {
-  return env_double("MVCC_WARMUP_SECONDS", 0.1);
+  return std::max(env_double("MVCC_WARMUP_SECONDS", 0.1), 0.0);
 }
 
 // Ceiling on any thread count read from the environment. A count is sized
@@ -267,7 +271,7 @@ class ObsSession {
                      sampler.rows().size(), out.c_str());
       }
     }
-    if (obs::trace_on() && !obs::trace_path().empty()) {
+    if (obs::trace_on()) {
       auto& tracer = obs::Tracer::instance();
       if (tracer.dump_json_to_file(obs::trace_path())) {
         std::fprintf(stderr, "[obs] trace (%llu events) -> %s\n",

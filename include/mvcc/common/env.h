@@ -1,49 +1,32 @@
-// Environment-variable knobs shared by every experiment binary.
+// The process-wide tuning knobs, gathered into mvcc::Config below.
 //
 // The paper's harnesses are parameterised by machine scale; rather than a
 // flag library we use a tiny set of env knobs so the same binary runs on a
 // laptop (defaults) and on the paper's 72-core machine (MVCC_* overrides):
 //
-//   MVCC_SCALE    multiplier applied to structure sizes        (default 1.0)
-//   MVCC_SECONDS  wall-clock budget per measured cell, seconds (default 0.4)
-//   MVCC_READERS  reader-thread count for the Table 2 harness  (default 3)
+//   MVCC_SCALE    multiplier applied to structure sizes; non-positive or
+//                 non-finite values mean the default          (default 1.0)
 //   MVCC_THREADS  worker-thread count for batch/bulk ops       (default hw)
-//   MVCC_WARMUP_SECONDS  steady-state warm-up before each measured
-//                 duration-based bench cell                    (default 0.1)
-//   MVCC_STATS    1 enables the obs/ metrics layer (see obs/obs.h);
-//                 unset/0 keeps instrumentation disabled       (default 0)
-//   MVCC_SAMPLE_MS  footprint sampler period, ms; 0 disables the sampler
-//                 thread entirely (see obs/sampler.h)          (default 0)
-//   MVCC_SAMPLE_OUT path the benches write the footprint CSV to
-//                 when the sampler ran             (default footprint.csv)
-//   MVCC_TRACE    output path for the Chrome-trace event dump; unset
-//                 disables tracing (see obs/trace.h)        (default off)
-//   MVCC_PERF     1 opens perf_event hardware counters per bench cell
-//                 (see obs/perf.h; silent no-op where the syscall is
-//                 unavailable)                                 (default 0)
-//   MVCC_GRAIN    fork-join grain for the bulk tree ops: a recursive
-//                 subproblem below this many nodes stays sequential
-//                 (see ftree/ops.h bulk_grain); four grains of work is
-//                 also where a commit's frees move off the commit path
-//                 (see alloc/reclaim.h)                     (default 2048)
-//   MVCC_ALLOC    node/tuple allocation policy: "slab" routes fixed-size
-//                 blocks through the alloc/ magazine pool, "malloc" keeps
-//                 plain operator new/delete for A/B comparison
-//                 (see alloc/pool.h)                      (default "slab")
+//   MVCC_GRAIN    fork-join grain of the bulk tree ops (ftree/ops.h); four
+//                 grains of work move a commit's frees off the commit
+//                 path (alloc/reclaim.h)                    (default 2048)
+//   MVCC_ALLOC    "slab" routes fixed-size blocks through the alloc/pool.h
+//                 magazine pool, "malloc" uses plain new/delete for A/B
+//                 comparison                              (default "slab")
 //   MVCC_SLAB_BYTES  bytes per slab the alloc/ pool carves blocks from,
 //                 clamped to [4096, 16MiB]                 (default 65536)
-//   MVCC_SHARDS   shard count for the sharded multi-writer front-end
-//                 (txn/sharded.h): the key space is hash-partitioned
-//                 across this many independent BatchingMap shards, each
-//                 with its own flattener and version manager. Clamped to
-//                 [1, 256]; latched at the first ShardedMap construction
-//                 (like MVCC_ALLOC's route latch) so a reload_config()
-//                 mid-process cannot leave two maps disagreeing about the
-//                 shard topology the sharded/* metrics are keyed by
-//                                                              (default 1)
+//   MVCC_SHARDS   default shard count of txn/sharded.h's ShardedMap,
+//                 clamped to [1, 256] and latched at the first ShardedMap
+//                 construction                                 (default 1)
+//
+// The obs knobs (MVCC_STATS, MVCC_TRACE, MVCC_SAMPLE_MS, MVCC_SAMPLE_OUT)
+// are listed in obs/obs.h; the bench-only ones (MVCC_SECONDS,
+// MVCC_WARMUP_SECONDS, MVCC_READERS) in bench/bench_util.h.
 #pragma once
 
 #include <atomic>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -51,22 +34,27 @@
 
 namespace mvcc {
 
-// Reads a long from the environment; returns `def` when unset or malformed.
-inline long env_long(const char* name, long def) {
-  const char* s = std::getenv(name);
+// Parses all of `s` as a long; returns `def` when null, empty or malformed.
+inline long parse_long(const char* s, long def) {
   if (s == nullptr || *s == '\0') return def;
   char* end = nullptr;
   const long v = std::strtol(s, &end, 10);
   return (end == nullptr || *end != '\0') ? def : v;
 }
 
-// Reads a double from the environment; returns `def` when unset or malformed.
+// Reads a long from the environment; returns `def` when unset or malformed.
+inline long env_long(const char* name, long def) {
+  return parse_long(std::getenv(name), def);
+}
+
+// Reads a double from the environment; returns `def` when unset, malformed
+// or not finite (nan, inf).
 inline double env_double(const char* name, double def) {
   const char* s = std::getenv(name);
   if (s == nullptr || *s == '\0') return def;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  return (end == nullptr || *end != '\0') ? def : v;
+  return (end == nullptr || *end != '\0' || !std::isfinite(v)) ? def : v;
 }
 
 // Reads a string from the environment; returns `def` when unset.
@@ -82,21 +70,24 @@ inline constexpr long kGrainFloor = 64;
 
 namespace detail {
 
-inline double parse_scale() { return env_double("MVCC_SCALE", 1.0); }
+// A non-positive scale would size every structure to one element.
+inline double parse_scale() {
+  const double v = env_double("MVCC_SCALE", 1.0);
+  return v > 0 ? v : 1.0;
+}
 
 // MVCC_GRAIN with the guard rails: non-positive or malformed values fall
 // back to the default (a grain of 0 would fork single-node subproblems),
 // and positive-but-absurd values clamp to kGrainFloor — silently accepting
 // e.g. MVCC_GRAIN=1 used to turn every bulk op into spawn-bound sludge.
-// The clamp logs once per process under MVCC_STATS=1 so a grain sweep
-// that walked off the edge is visible rather than mysteriously flat.
+// The clamp logs once per process so a grain sweep that walked off the
+// edge is visible rather than mysteriously flat.
 inline long parse_grain() {
   const long v = env_long("MVCC_GRAIN", 2048);
   if (v <= 0) return 2048;
   if (v < kGrainFloor) {
     static std::atomic<bool> warned{false};
-    if (env_long("MVCC_STATS", 0) != 0 &&
-        !warned.exchange(true, std::memory_order_relaxed)) {
+    if (!warned.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "[mvcc] MVCC_GRAIN=%ld would fork near-single-node "
                    "subproblems; clamped to %ld\n",
@@ -153,9 +144,13 @@ struct Config {
   int shards = 1;                  // MVCC_SHARDS (clamped to [1, 256])
 
   // Scales a base structure size by `scale`; never returns less than 1 for
-  // a positive base, so the result is always a usable element count.
+  // a positive base, so the result is always a usable element count, and
+  // saturates at LONG_MAX rather than casting an out-of-range double.
   long scaled(long base) const {
-    const long v = static_cast<long>(static_cast<double>(base) * scale);
+    const double d = static_cast<double>(base) * scale;
+    // LONG_MAX rounds up to 2^63 as a double, the first value out of range.
+    if (!(d < static_cast<double>(LONG_MAX))) return LONG_MAX;
+    const long v = static_cast<long>(d);
     return (base > 0 && v < 1) ? 1 : v;
   }
 

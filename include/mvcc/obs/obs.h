@@ -1,65 +1,25 @@
-// Umbrella header and master switch of the obs/ metrics layer.
-//
-// Instrumented hot paths guard every metric touch with obs::enabled():
+// Umbrella header of the obs/ layer: metrics (counter.h, histogram.h,
+// registry.h), the footprint sampler (sampler.h), the event tracer
+// (trace.h) and hardware counters (perf.h), all behind the one switch in
+// gate.h. Instrumented hot paths guard every metric touch with
+// obs::enabled():
 //
 //   if (obs::enabled()) stats().commit_latency.record(t.nanos());
 //
-// The switch has two layers so instrumentation is zero-cost when off:
+// The obs knobs (the Config knobs are listed in common/env.h):
 //
-//   * Compile time: configuring with -DMVCC_STATS=OFF defines
-//     MVCC_STATS_DISABLED, making enabled() constexpr false — every guarded
-//     block is dead code the compiler deletes outright.
-//   * Run time (the default build): enabled() is one relaxed atomic load
-//     and a branch, initialized from the MVCC_STATS environment variable
-//     (unset/0 = off). A predicted-untaken branch per already-expensive
-//     operation (node allocation, version retire, batch commit) is below
-//     measurement noise — the property the BENCH_6.json trajectory run
-//     checks against a stats-off build.
-//
-// set_enabled() exists for tests, which must flip collection on without
-// re-exec'ing under a new environment.
+//   MVCC_STATS       1 turns the layer on, the benches' per-cell perf_event
+//                    hardware counters included                 (default 0)
+//   MVCC_TRACE       Chrome-trace output path, under MVCC_STATS=1 (default off)
+//   MVCC_SAMPLE_MS   footprint sampler period under MVCC_STATS=1, ms; 0 = no
+//                    sampler thread                             (default 0)
+//   MVCC_SAMPLE_OUT  footprint CSV path            (default footprint.csv)
 #pragma once
 
-#include <atomic>
-
-#include "mvcc/common/env.h"
 #include "mvcc/obs/counter.h"
+#include "mvcc/obs/gate.h"
 #include "mvcc/obs/histogram.h"
 #include "mvcc/obs/perf.h"
 #include "mvcc/obs/registry.h"
 #include "mvcc/obs/sampler.h"
 #include "mvcc/obs/trace.h"
-
-namespace mvcc::obs {
-
-#if defined(MVCC_STATS_DISABLED)
-
-constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-#else
-
-namespace detail {
-// -1 = uninitialized; first enabled() call resolves the MVCC_STATS env var.
-inline std::atomic<int>& enabled_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-}  // namespace detail
-
-inline bool enabled() {
-  int v = detail::enabled_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = env_long("MVCC_STATS", 0) != 0 ? 1 : 0;
-    detail::enabled_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-inline void set_enabled(bool on) {
-  detail::enabled_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-#endif  // MVCC_STATS_DISABLED
-
-}  // namespace mvcc::obs

@@ -7,14 +7,13 @@
 // same name always returns the same object, so independent subsystems can
 // share a metric by agreeing on its name.
 //
-// dump_text emits one flat `name=value` line per scalar — histograms
-// expand to name/count, name/min, name/mean, name/p50, name/p99,
-// name/p999, and a histogram that never recorded emits no keys at all —
-// and dump_json the same keys as one flat JSON object, plus a
-// name/buckets array of [lower, upper, count] triples per histogram so
-// external tools can re-plot full distributions. Both take an optional
-// prefix so multi-process pipelines (each bench dumps its own registry)
-// can namespace their lines before a collector merges them.
+// dump_json emits one flat JSON object with one key per scalar —
+// histograms expand to name/count, name/min, name/mean, name/p50,
+// name/p99, name/p999 and a name/buckets array of [lower, upper, count]
+// triples so external tools can re-plot full distributions, and a
+// histogram that never recorded emits no keys at all. It takes an
+// optional prefix so multi-process pipelines (each bench dumps its own
+// registry) can namespace their keys before a collector merges them.
 #pragma once
 
 #include <cstdint>
@@ -81,25 +80,11 @@ class Registry {
     return *slot;
   }
 
-  // Flat `prefix + name=value` lines, sorted by name (std::map order).
-  std::string dump_text(const std::string& prefix = "") const {
-    std::string out;
-    for (const auto& [name, value] : flat_values(prefix)) {
-      out += name;
-      out += '=';
-      out += value;
-      out += '\n';
-    }
-    return out;
-  }
-
-  // One flat JSON object over the same keys as dump_text, plus one
-  // name/buckets array per histogram (arrays stay out of the text format,
-  // whose consumers expect scalar name=value lines).
+  // One flat JSON object, keys sorted by name (std::map order).
   std::string dump_json(const std::string& prefix = "") const {
     std::string out = "{";
     bool first = true;
-    for (const auto& [name, value] : flat_values(prefix, true)) {
+    for (const auto& [name, value] : flat_values(prefix)) {
       out += first ? "\n" : ",\n";
       first = false;
       out += "  \"";
@@ -121,7 +106,7 @@ class Registry {
   }
 
   std::map<std::string, std::string> flat_values(
-      const std::string& prefix, bool include_buckets = false) const {
+      const std::string& prefix) const {
     std::lock_guard<std::mutex> lock(mu_);
     std::map<std::string, std::string> out;
     for (const auto& [name, c] : counters_) {
@@ -138,9 +123,7 @@ class Registry {
       out[prefix + name + "/p50"] = fmt_double(h->quantile(0.50));
       out[prefix + name + "/p99"] = fmt_double(h->quantile(0.99));
       out[prefix + name + "/p999"] = fmt_double(h->quantile(0.999));
-      if (include_buckets) {
-        out[prefix + name + "/buckets"] = h->buckets_json();
-      }
+      out[prefix + name + "/buckets"] = h->buckets_json();
     }
     return out;
   }

@@ -15,13 +15,10 @@
 // so a long run retains the most recent window per thread. The global
 // tracer only takes a mutex to register a new thread's ring and to dump.
 //
-// The gate mirrors obs::enabled()'s two layers: under -DMVCC_STATS=OFF
-// trace_on() is constexpr false and every emission site compiles out;
-// otherwise it is one relaxed load, lazily seeded from the environment —
-// tracing is on iff MVCC_STATS is set AND MVCC_TRACE names an output file.
-// set_trace_enabled() exists for tests. With tracing off nothing is
-// allocated and no thread is spawned (the tracer has no thread at all; the
-// dump runs on the caller).
+// Tracing is gated by trace_on() from gate.h: on iff MVCC_STATS is set AND
+// MVCC_TRACE names an output file (trace_path()). With tracing off nothing
+// is allocated and no thread is spawned (the tracer has no thread at all;
+// the dump runs on the caller).
 //
 // Dumping is meant for quiescence (workers joined / maps destroyed): a
 // thread still emitting while dump_json() runs can tear at most the events
@@ -38,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "mvcc/common/env.h"
+#include "mvcc/obs/gate.h"
 
 namespace mvcc::obs {
 
@@ -51,42 +48,6 @@ inline std::uint64_t trace_now_ns() {
           std::chrono::steady_clock::now() - epoch)
           .count());
 }
-
-// The MVCC_TRACE environment value (output path; empty = tracing off).
-inline const std::string& trace_path() {
-  static const std::string p = env_string("MVCC_TRACE");
-  return p;
-}
-
-#if defined(MVCC_STATS_DISABLED)
-
-constexpr bool trace_on() { return false; }
-inline void set_trace_enabled(bool) {}
-
-#else
-
-namespace detail {
-// -1 = uninitialized; the first trace_on() call resolves the environment.
-inline std::atomic<int>& trace_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-}  // namespace detail
-
-inline bool trace_on() {
-  int v = detail::trace_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = (env_long("MVCC_STATS", 0) != 0 && !trace_path().empty()) ? 1 : 0;
-    detail::trace_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-inline void set_trace_enabled(bool on) {
-  detail::trace_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-#endif  // MVCC_STATS_DISABLED
 
 class Tracer {
  public:

@@ -166,6 +166,20 @@ TEST(BenchDriver, ReaderThreadsKeepsDefaultAndClamps) {
   EXPECT_EQ(bench::reader_threads(), 8);
 }
 
+TEST(BenchDriver, CellAndWarmupSecondsRejectBadValues) {
+  // Malformed, non-finite and non-positive values mean the default.
+  for (const char* v : {"nan", "inf", "-1", "0", "junk"}) {
+    ScopedEnv env("MVCC_SECONDS", v);
+    EXPECT_DOUBLE_EQ(bench::cell_seconds(), 0.4) << v;
+  }
+  for (const char* v : {"nan", "inf", "junk"}) {
+    ScopedEnv env("MVCC_WARMUP_SECONDS", v);
+    EXPECT_DOUBLE_EQ(bench::warmup_seconds(), 0.1) << v;
+  }
+  ScopedEnv env("MVCC_WARMUP_SECONDS", "-3");
+  EXPECT_DOUBLE_EQ(bench::warmup_seconds(), 0.0);
+}
+
 TEST(BenchDriver, ShardSweepIsFullWhenUnsetAndClampedWhenForced) {
   {
     ScopedEnv env("MVCC_SHARDS", nullptr);

@@ -1,6 +1,7 @@
 // Tests for the env / rng / timing utility layer.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdlib>
 #include <set>
 
@@ -31,8 +32,10 @@ TEST(Env, DoubleDefaultsAndOverrides) {
   EXPECT_DOUBLE_EQ(env_double("MVCC_TEST_DOUBLE", 0.4), 0.4);
   setenv("MVCC_TEST_DOUBLE", "2.5", 1);
   EXPECT_DOUBLE_EQ(env_double("MVCC_TEST_DOUBLE", 0.4), 2.5);
-  setenv("MVCC_TEST_DOUBLE", "nope", 1);
-  EXPECT_DOUBLE_EQ(env_double("MVCC_TEST_DOUBLE", 0.4), 0.4);
+  for (const char* v : {"nope", "nan", "inf", "-inf", "1e999"}) {
+    setenv("MVCC_TEST_DOUBLE", v, 1);
+    EXPECT_DOUBLE_EQ(env_double("MVCC_TEST_DOUBLE", 0.4), 0.4) << v;
+  }
   unsetenv("MVCC_TEST_DOUBLE");
 }
 
@@ -57,7 +60,20 @@ TEST(Env, ScaleNoArgReturnsRawMultiplier) {
   EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", "2.5").scale, 2.5);
   // Fractional scales pass through.
   EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", "0.01").scale, 0.01);
-  EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", "junk").scale, 1.0);
+  // Malformed, non-positive and non-finite scales mean the default.
+  for (const char* v : {"junk", "0", "-2", "nan", "inf"}) {
+    EXPECT_DOUBLE_EQ(config_with("MVCC_SCALE", v).scale, 1.0) << v;
+  }
+  config_with("MVCC_SCALE", nullptr);
+}
+
+TEST(Env, ScaledSaturatesInsteadOfOverflowing) {
+  EXPECT_EQ(config_with("MVCC_SCALE", "1e300").scaled(1000), LONG_MAX);
+  // 2^62 converts exactly; 2^63 is the first value out of range.
+  Config c;
+  c.scale = 0x1p62;
+  EXPECT_EQ(c.scaled(1), 1L << 62);
+  EXPECT_EQ(c.scaled(2), LONG_MAX);
   config_with("MVCC_SCALE", nullptr);
 }
 

@@ -1,10 +1,11 @@
 // Tests for the obs/ metrics layer: histogram quantile math (empty,
 // single sample, overflow bucket, cross-bucket interpolation), striped
 // counter exactness under concurrent per-thread increments, gauge
-// high-water marks, registry identity and dump formats, and an end-to-end
-// BatchingMap run asserting that the txn/vm/ftree instrumentation actually
-// records under MVCC_STATS. Every suite name starts with "Obs" so CI's
-// TSan job can select this tier with `ctest -R '...|Obs'`.
+// high-water marks, registry identity and the JSON dump, the obs gate's
+// environment resolution, and an end-to-end BatchingMap run asserting that
+// the txn/vm/ftree instrumentation actually records under MVCC_STATS.
+// Every suite name starts with "Obs" so CI's TSan job can select this tier
+// with `ctest -R '...|Obs'`.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -195,25 +196,20 @@ TEST(ObsRegistry, SameNameReturnsSameMetric) {
   EXPECT_EQ(&ha, &hb);
 }
 
-TEST(ObsRegistry, DumpTextEmitsFlatNameValueLines) {
+TEST(ObsRegistry, DumpJsonIsOneFlatObject) {
   obs::registry().counter("obstest/dump_counter").add(7);
   obs::registry().gauge("obstest/dump_gauge").set(13);
   obs::registry().histogram("obstest/dump_hist").record(100);
-  const std::string text = obs::registry().dump_text("pfx/");
-  EXPECT_NE(text.find("pfx/obstest/dump_counter=7"), std::string::npos);
-  EXPECT_NE(text.find("pfx/obstest/dump_gauge=13"), std::string::npos);
-  EXPECT_NE(text.find("pfx/obstest/dump_hist/count=1"), std::string::npos);
-  EXPECT_NE(text.find("pfx/obstest/dump_hist/p50="), std::string::npos);
-  EXPECT_NE(text.find("pfx/obstest/dump_hist/p999="), std::string::npos);
-}
-
-TEST(ObsRegistry, DumpJsonIsOneFlatObject) {
-  obs::registry().counter("obstest/json_counter").add(3);
-  const std::string json = obs::registry().dump_json();
+  const std::string json = obs::registry().dump_json("pfx/");
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"obstest/json_counter\": 3"), std::string::npos);
+  for (const char* key :
+       {"\"pfx/obstest/dump_counter\": 7", "\"pfx/obstest/dump_gauge\": 13",
+        "\"pfx/obstest/dump_hist/count\": 1", "\"pfx/obstest/dump_hist/p50\": ",
+        "\"pfx/obstest/dump_hist/p999\": "}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
   // Flat object: no nested braces between the outer pair.
   EXPECT_EQ(json.find('{', 1), std::string::npos);
 }
@@ -224,11 +220,6 @@ TEST(ObsRegistry, DumpJsonIsOneFlatObject) {
 using PswfMap = txn::BatchingMap<std::uint64_t, std::uint64_t,
                                  ftree::NoAug<std::uint64_t, std::uint64_t>,
                                  vm::PswfVersionManager>;
-
-// The two *AreRecorded tests need live instrumentation sites; under
-// -DMVCC_STATS=OFF those sites are compiled out, so only the
-// disabled-path contract below is testable.
-#if !defined(MVCC_STATS_DISABLED)
 
 TEST(ObsBatchingE2E, CommitLatencyAndStallsAreRecorded) {
   ScopedStats stats;
@@ -288,8 +279,6 @@ TEST(ObsBatchingE2E, VmAndFtreeMetricsAreRecorded) {
   EXPECT_EQ(ftree::g_live_bytes.load(std::memory_order_relaxed), bytes0);
 }
 
-#endif  // !MVCC_STATS_DISABLED
-
 // ---------------------------------------------------------------------------
 // Delta snapshots.
 
@@ -331,10 +320,6 @@ TEST(ObsHistogram, BucketsJsonListsNonEmptyBucketsOnly) {
 
 TEST(ObsRegistry, DumpsCarryMinAndBuckets) {
   obs::registry().histogram("obstest/minbuckets").record(5);
-  const std::string text = obs::registry().dump_text();
-  EXPECT_NE(text.find("obstest/minbuckets/min=5"), std::string::npos);
-  // Arrays stay out of the scalar text format.
-  EXPECT_EQ(text.find("obstest/minbuckets/buckets"), std::string::npos);
   const std::string json = obs::registry().dump_json();
   EXPECT_NE(json.find("\"obstest/minbuckets/min\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"obstest/minbuckets/buckets\": [[5, 6, 1]]"),
@@ -344,11 +329,8 @@ TEST(ObsRegistry, DumpsCarryMinAndBuckets) {
 TEST(ObsRegistry, UnrecordedHistogramIsOmittedFromDumps) {
   (void)obs::registry().histogram("obstest/never_recorded");
   obs::registry().histogram("obstest/recorded").record(9);
-  const std::string text = obs::registry().dump_text();
   const std::string json = obs::registry().dump_json();
-  EXPECT_EQ(text.find("obstest/never_recorded"), std::string::npos);
   EXPECT_EQ(json.find("obstest/never_recorded"), std::string::npos);
-  EXPECT_NE(text.find("obstest/recorded/count=1"), std::string::npos);
   EXPECT_NE(json.find("\"obstest/recorded/count\": 1"), std::string::npos);
 }
 
@@ -428,8 +410,6 @@ TEST(ObsSampler, BackgroundThreadSamplesUntilStopped) {
 // ---------------------------------------------------------------------------
 // Event tracer.
 
-#if !defined(MVCC_STATS_DISABLED)
-
 // Forces tracing on for one test body and restores the off default.
 struct ScopedTrace {
   ScopedTrace() {
@@ -475,8 +455,6 @@ TEST(ObsTrace, ConcurrentEmissionCountsEveryEvent) {
             std::uint64_t{2} * kThreads * kPerThread);
 }
 
-#endif  // !MVCC_STATS_DISABLED
-
 TEST(ObsTrace, DisabledEmitsNothingAndDumpsValidJson) {
   obs::set_trace_enabled(false);
   obs::Tracer::instance().reset_for_test();
@@ -501,7 +479,7 @@ TEST(ObsPerf, UnopenedCountersReadInvalidAndReportNothing) {
     EXPECT_EQ(r.value[i], 0u);
   }
   pc.report("obstest-none");
-  EXPECT_EQ(obs::registry().dump_text().find("perf/obstest-none"),
+  EXPECT_EQ(obs::registry().dump_json().find("perf/obstest-none"),
             std::string::npos);
 }
 
@@ -525,12 +503,39 @@ TEST(ObsPerf, OpenEitherCountsOrDegradesGracefully) {
   }
 }
 
-TEST(ObsPerf, PerfCellIsNoOpWhenNotRequested) {
-  // MVCC_PERF is unset in the test environment, so the cell never opens
-  // counters and never reports.
+TEST(ObsPerf, PerfCellIsNoOpWhenStatsOff) {
+  // With stats off the cell never opens counters and never reports.
+  obs::set_enabled(false);
   { obs::PerfCell cell("obstest-cell"); }
-  EXPECT_EQ(obs::registry().dump_text().find("perf/obstest-cell"),
+  EXPECT_EQ(obs::registry().dump_json().find("perf/obstest-cell"),
             std::string::npos);
+}
+
+TEST(ObsPerf, PerfCellReportsUnderStatsIffCountersOpen) {
+  // Whether this host lets perf_event_open count is probed first; either
+  // answer is in-contract, but the cell must report exactly when it can.
+  const bool available = obs::PerfCounters().available();
+  {
+    ScopedStats stats;
+    obs::PerfCell cell("obstest-stats");
+  }
+  EXPECT_EQ(obs::registry().dump_json().find("\"perf/obstest-stats/") !=
+                std::string::npos,
+            available);
+}
+
+// ---------------------------------------------------------------------------
+// The obs gate.
+
+TEST(ObsGate, ResolvesStatsAndTraceFromTheEnvironment) {
+  using obs::detail::gate_bits, obs::detail::kStats, obs::detail::kTrace;
+  EXPECT_EQ(gate_bits(nullptr, "trace.json"), 0);  // trace needs stats
+  for (const char* off : {"0", "", "yes"}) {
+    EXPECT_EQ(gate_bits(off, "trace.json"), 0) << off;
+  }
+  EXPECT_EQ(gate_bits("1", nullptr), kStats);
+  EXPECT_EQ(gate_bits("1", ""), kStats);
+  EXPECT_EQ(gate_bits("1", "trace.json"), kStats | kTrace);
 }
 
 TEST(ObsBatchingE2E, DisabledMeansNoRecording) {

@@ -313,9 +313,7 @@ TEST(ShardedStress, SnapshotsNeverObserveTornMultiShardCommits) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics. Compiled out with the record sites under -DMVCC_STATS=OFF —
-// there is no registry content to assert on in that configuration.
-#if !defined(MVCC_STATS_DISABLED)
+// Metrics.
 
 TEST(ShardedMetrics, RegistryExportsPerShardAndSnapshotCounters) {
   const long long base_live = ftree::live_nodes();
@@ -328,20 +326,18 @@ TEST(ShardedMetrics, RegistryExportsPerShardAndSnapshotCounters) {
     map.multi_upsert_sync(0, std::vector<Entry>{{1, 1}, {2, 2}});
     map.flush_all();
     EXPECT_EQ(map.snapshots_taken(), 2u);
-    const std::string dump = obs::registry().dump_text("");
+    const std::string dump = obs::registry().dump_json();
     for (const char* key :
-         {"sharded/shard0/ops=", "sharded/shard1/ops=",
-          "sharded/shard0/batches=", "sharded/snapshots=",
-          "sharded/snapshot_retries=", "sharded/multi_commits=",
-          "sharded/multi_ops="}) {
+         {"\"sharded/shard0/ops\":", "\"sharded/shard1/ops\":",
+          "\"sharded/shard0/batches\":", "\"sharded/snapshots\":",
+          "\"sharded/snapshot_retries\":", "\"sharded/multi_commits\":",
+          "\"sharded/multi_ops\":"}) {
       EXPECT_NE(dump.find(key), std::string::npos) << "missing " << key;
     }
   }
   obs::set_enabled(false);
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
-
-#endif  // !MVCC_STATS_DISABLED
 
 // ---------------------------------------------------------------------------
 // The MVCC_SHARDS latch (satellite: reload_config must not let the shard

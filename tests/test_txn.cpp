@@ -397,7 +397,6 @@ void expect_commits_free_inline(PswfMap& map) {
   }
 }
 
-#if !defined(MVCC_STATS_DISABLED)
 TEST(TxnReclaim, LargeCommitDefersToBackgroundLane) {
   obs::set_enabled(true);
   obs::Counter& deferred = alloc::ReclaimStats::get().deferred;
@@ -412,7 +411,6 @@ TEST(TxnReclaim, LargeCommitDefersToBackgroundLane) {
   EXPECT_GT(deferred.value(), deferred0);
   EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
-#endif  // !MVCC_STATS_DISABLED
 
 TEST(TxnReclaim, SmallCommitFreesBeforeSyncReturns) {
   // A one-key commit is far below the default threshold.
