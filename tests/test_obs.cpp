@@ -196,20 +196,26 @@ TEST(ObsRegistry, SameNameReturnsSameMetric) {
   EXPECT_EQ(&ha, &hb);
 }
 
-TEST(ObsRegistry, DumpJsonIsOneFlatObject) {
+TEST(ObsRegistry, DumpJsonEmitsPrefixedFlatKeys) {
   obs::registry().counter("obstest/dump_counter").add(7);
   obs::registry().gauge("obstest/dump_gauge").set(13);
   obs::registry().histogram("obstest/dump_hist").record(100);
   const std::string json = obs::registry().dump_json("pfx/");
-  ASSERT_FALSE(json.empty());
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
   for (const char* key :
        {"\"pfx/obstest/dump_counter\": 7", "\"pfx/obstest/dump_gauge\": 13",
         "\"pfx/obstest/dump_hist/count\": 1", "\"pfx/obstest/dump_hist/p50\": ",
         "\"pfx/obstest/dump_hist/p999\": "}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+TEST(ObsRegistry, DumpJsonIsOneFlatObject) {
+  obs::registry().counter("obstest/json_counter").add(3);
+  const std::string json = obs::registry().dump_json();
+  ASSERT_FALSE(json.empty());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_NE(json.find("\"obstest/json_counter\": 3"), std::string::npos);
   // Flat object: no nested braces between the outer pair.
   EXPECT_EQ(json.find('{', 1), std::string::npos);
 }
