@@ -1,6 +1,7 @@
 // Microbenchmarks for the functional tree substrate: point ops, range sums,
 // and the parallel bulk operations (union / multi_insert) whose join-based
-// parallelism the batching writer relies on.
+// parallelism the batching writer relies on, including the small-batch
+// multi_insert regime its commits live in.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -80,6 +81,40 @@ void BM_TreeMultiInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
 }
 
+void BM_TreeMultiInsertSmallBatch(benchmark::State& state) {
+  // The commit regime of the batching writer: batches of 128 keys that
+  // already exist, into a tree of range(0) keys. copied/op is the node
+  // copies per written key (the new version's private nodes).
+  constexpr std::size_t kBatch = 128;
+  const std::int64_t n = state.range(0);
+  SumMap a = make_random(n, 13);
+  const auto entries = a.to_vector();
+  Xoshiro256 rng(14);
+  using Batch = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  std::vector<Batch> batches(16);
+  for (auto& batch : batches) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      batch.emplace_back(entries[rng.next_below(entries.size())].first, 1);
+    }
+    ftree::prepare_batch(batch);
+  }
+  std::size_t next = 0;
+  std::int64_t ops = 0;
+  long long copied = 0;
+  for (auto _ : state) {
+    const auto& batch = batches[next++ % batches.size()];
+    const long long live = ftree::live_nodes();
+    SumMap u = a.multi_inserted(
+        std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch));
+    copied += ftree::live_nodes() - live;
+    ops += static_cast<std::int64_t>(batch.size());
+    benchmark::DoNotOptimize(u.size());
+  }
+  state.SetItemsProcessed(ops);
+  state.counters["copied/op"] =
+      ops > 0 ? static_cast<double>(copied) / static_cast<double>(ops) : 0.0;
+}
+
 void BM_TreeMultiInsertVsLoop(benchmark::State& state) {
   // The ablation behind batching: the same updates applied one-by-one.
   const std::int64_t n = state.range(0);
@@ -112,8 +147,8 @@ void BM_TreeBulkUnionThreads(benchmark::State& state) {
 }
 
 void BM_TreeBuildSortedThreads(benchmark::State& state) {
-  // Fork-join scaling of build_sorted (the batch-tree half of
-  // multi_insert).
+  // Fork-join scaling of build_sorted (what multi_insert runs where its
+  // descent reaches an empty subtree).
   const std::int64_t n = state.range(0);
   const int threads = static_cast<int>(state.range(1));
   std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
@@ -139,6 +174,7 @@ BENCHMARK(BM_TreeFind)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 BENCHMARK(BM_TreeRangeSum)->Arg(1 << 14)->Arg(1 << 18);
 BENCHMARK(BM_TreeUnion)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_TreeMultiInsert)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_TreeMultiInsertSmallBatch)->Arg(1 << 20);
 BENCHMARK(BM_TreeMultiInsertVsLoop)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_TreeBulkUnionThreads)
     ->Args({1 << 18, 1})

@@ -26,6 +26,16 @@ class Timer {
 
   void reset() { start_ = Clock::now(); }
 
+  // Nanoseconds since construction or the previous lap, restarting the
+  // clock there: consecutive laps tile the elapsed time without gaps.
+  std::uint64_t lap() {
+    const Clock::time_point now = Clock::now();
+    const auto d = now - start_;
+    start_ = now;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

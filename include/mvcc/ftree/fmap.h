@@ -69,8 +69,9 @@ class FMap {
   }
 
   // A new version with a prepared (see prepare_batch) batch applied in one
-  // bulk join-based operation. O(m log(n/m + 1)) work, forked across
-  // `threads` workers (0 = config().threads).
+  // descent of this version's tree. O(m log(n/m + 1)) work; forks across
+  // `threads` workers (0 = config().threads) only where both sides have
+  // work enough to pay for it, so a commit-sized batch forks at most once.
   FMap multi_inserted(std::span<const Entry> batch, int threads = 0) const {
     return FMap(multi_insert(ftree::share(root_), batch, threads));
   }

@@ -10,6 +10,9 @@
 // Balancing is a height-balanced (AVL) join tree: `insert`, `join`, `split`
 // and `union_` all preserve the AVL invariant, so `join`-based bulk
 // operations (union / multi_insert) compose with point updates.
+// `multi_insert` applies a sorted batch PAM-style, by descending the tree
+// with it: the version is split only where the batch runs out, not once
+// per batch key.
 //
 // Ownership protocol: a Node* is an owned reference. Every function taking
 // Node* by value CONSUMES that reference (the functional analogue of move
@@ -19,11 +22,14 @@
 // (externally serialized) mutator, and the bulk operations (`union_`,
 // `multi_insert`, `build_sorted`) fork their independent recursive calls
 // across worker threads (MVCC_THREADS) — each worker consumes a disjoint
-// set of owned references, so the counts stay exact.
+// set of owned references, so the counts stay exact. They fork only where
+// both sides have enough estimated node copies (`batch_work`, `fork_work`),
+// so a small commit into a big version forks at most once.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -424,9 +430,9 @@ SplitResult<K, V, A> split(Node<K, V, A>* t, const K& k) {
   return {l, r, true, tv};
 }
 
-// Fork-join granularity for the bulk operations: a recursive subproblem
-// below this many nodes of work stays sequential, so the fork cost is
-// always amortized over thousands of node visits. Tunable (MVCC_GRAIN via
+// Fork-join granularity for the bulk operations: a recursive step forks
+// only when both sides carry a quarter of this many estimated node copies
+// (fork_work), so the fork cost is always amortized. Tunable (MVCC_GRAIN via
 // config().grain, default 2048, floored at kGrainFloor) for grain sweeps;
 // resolved once per process, so set it before the first bulk op.
 inline std::uint64_t bulk_grain() {
@@ -434,12 +440,42 @@ inline std::uint64_t bulk_grain() {
   return g;
 }
 
+// Estimated node copies for applying m sorted keys to a tree of height h:
+// the m root-to-leaf paths share their top ~log2(m) levels, so each key
+// copies about h + 1 - bit_width(m) nodes, and at least its own. Into an
+// empty tree this is m, the cost of building the batch. Freeing the
+// retired version visits about as many nodes, so commit sizing uses it too.
+inline std::uint64_t batch_work(std::uint64_t m, std::uint32_t h) {
+  const std::uint64_t levels = std::uint64_t{h} + 1;
+  const std::uint64_t shared = static_cast<std::uint64_t>(std::bit_width(m));
+  return m * (levels > shared ? levels - shared : 1);
+}
+
 namespace detail {
+
+// Estimated node copies each side of a step needs before it forks: a
+// quarter grain (512 at the default grain), tens of microseconds of work
+// against a fork's few. A commit-sized batch (about a hundred keys into a
+// big map) thus forks once, at the top. Measured on a 4-vCPU host: with no
+// fork, cold-cache commits (uniform keys, a spare CPU) got slower; with
+// about three forks per commit, a CPU-bound sharded writer lost a quarter
+// of its throughput.
+inline std::uint64_t fork_work() { return bulk_grain() / 4; }
 
 // Resolves a caller-supplied worker budget: positive means exactly that
 // many workers, zero (the default) means config().threads (MVCC_THREADS).
-inline int bulk_budget(int threads) {
+// Work that can never fork keeps a budget of one and skips the
+// worker-count resolution entirely (no getenv/sysconf traffic).
+inline int bulk_budget(int threads, std::uint64_t work) {
+  if (work < 2 * fork_work()) return 1;
   return threads > 0 ? threads : config().threads;
+}
+
+// The one fork test of the bulk ops: a step forks only while budget
+// remains and both sides carry at least fork_work() estimated copies.
+inline bool should_fork(int budget, std::uint64_t left_work,
+                        std::uint64_t right_work) {
+  return budget > 1 && std::min(left_work, right_work) >= fork_work();
 }
 
 // Recursive core of union_ with a fork-join worker budget. The two
@@ -457,9 +493,8 @@ Node<K, V, A>* union_rec(Node<K, V, A>* a, Node<K, V, A>* b, int budget) {
   V bv;
   expose(b, &bl, &br, &bk, &bv);
   SplitResult<K, V, A> s = split(a, bk);
-  if (budget > 1 &&
-      std::min(weight_of(s.left) + weight_of(bl),
-               weight_of(s.right) + weight_of(br)) >= bulk_grain()) {
+  if (should_fork(budget, batch_work(weight_of(bl), height_of(s.left)),
+                  batch_work(weight_of(br), height_of(s.right)))) {
     const int lb = budget / 2;
     const int rb = budget - lb;
     // Fork the right subproblem onto the shared pool, recurse left on this
@@ -486,7 +521,7 @@ Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
                                 int budget) {
   if (entries.empty()) return nullptr;
   const std::size_t mid = entries.size() / 2;
-  if (budget > 1 && entries.size() >= 2 * bulk_grain()) {
+  if (should_fork(budget, mid, entries.size() - mid - 1)) {
     const int lb = budget / 2;
     const int rb = budget - lb;
     auto [l, r] = exec::invoke2(
@@ -504,21 +539,64 @@ Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
       build_sorted_rec<K, V, A>(entries.subspan(mid + 1), budget));
 }
 
+// Recursive core of multi_insert: descends `t` with the sorted batch,
+// handing each child the slice of keys that belongs under it, and rebuilds
+// with join. Where a slice runs down to a single key, that key is split
+// out of the subtree and joined back as its root — the shape a union with
+// it would leave — so a written key ends up nearly as shallow as after a
+// union. Zipf-hot keys, written almost every batch, thus stay near the
+// root where reads find them fast (a descent that only rewrote values in
+// place would leave them as deep as any other key). The two children and
+// their slices are key-disjoint, so a fork hands each side its own owned
+// references, as in union_rec.
+template <class K, class V, class A>
+Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
+                                std::span<const std::pair<K, V>> batch,
+                                int budget) {
+  if (batch.empty()) return t;
+  if (t == nullptr) return build_sorted_rec<K, V, A>(batch, budget);
+  if (batch.size() == 1) {
+    const auto& [bk, bv] = batch.front();
+    SplitResult<K, V, A> s = split(t, bk);
+    return join(s.left, bk, bv, s.right);
+  }
+  Node<K, V, A>*l, *r;
+  K k;
+  V v;
+  expose(t, &l, &r, &k, &v);
+  const auto at = std::lower_bound(
+      batch.begin(), batch.end(), k,
+      [](const std::pair<K, V>& e, const K& key) { return e.first < key; });
+  const std::size_t lo = static_cast<std::size_t>(at - batch.begin());
+  const bool hit = at != batch.end() && !(k < at->first);
+  if (hit) v = at->second;
+  const auto lb = batch.first(lo);
+  const auto rb = batch.subspan(hit ? lo + 1 : lo);
+  if (should_fork(budget, batch_work(lb.size(), height_of(l)),
+                  batch_work(rb.size(), height_of(r)))) {
+    const int lbud = budget / 2;
+    const int rbud = budget - lbud;
+    auto [nl, nr] = exec::invoke2(
+        [l, lb, lbud] { return multi_insert_rec(l, lb, lbud); },
+        [r, rb, rbud] { return multi_insert_rec(r, rb, rbud); });
+    return join(nl, k, v, nr);
+  }
+  return join(multi_insert_rec(l, lb, budget), k, v,
+              multi_insert_rec(r, rb, budget));
+}
+
 }  // namespace detail
 
 // Union of two versions; on duplicate keys the entry from `b` wins (so
 // unioning a delta over a corpus applies the delta). Consumes both.
 // O(m log(n/m + 1)) work for |b| = m <= n = |a| — the join-tree bound.
 // The independent recursive calls are forked across `threads` workers
-// (0 = config().threads) above the bulk_grain() cutoff; the resulting tree is
-// bit-identical for every worker count. Inputs too small to ever fork
-// skip the worker-count resolution entirely, so small unions stay free
-// of getenv/sysconf traffic.
+// (0 = config().threads) where batch_work says both sides are worth it;
+// the resulting tree is bit-identical for every worker count.
 template <class K, class V, class A>
 Node<K, V, A>* union_(Node<K, V, A>* a, Node<K, V, A>* b, int threads = 0) {
-  const int budget = weight_of(a) + weight_of(b) >= 2 * bulk_grain()
-                         ? detail::bulk_budget(threads)
-                         : 1;
+  const int budget = detail::bulk_budget(
+      threads, batch_work(weight_of(b), height_of(a)));
   return detail::union_rec(a, b, budget);
 }
 
@@ -527,9 +605,7 @@ Node<K, V, A>* union_(Node<K, V, A>* a, Node<K, V, A>* b, int threads = 0) {
 template <class K, class V, class A>
 Node<K, V, A>* build_sorted(std::span<const std::pair<K, V>> entries,
                             int threads = 0) {
-  const int budget = entries.size() >= 2 * bulk_grain()
-                         ? detail::bulk_budget(threads)
-                         : 1;
+  const int budget = detail::bulk_budget(threads, entries.size());
   return detail::build_sorted_rec<K, V, A>(entries, budget);
 }
 
@@ -552,18 +628,25 @@ void prepare_batch(std::vector<std::pair<K, V>>& batch) {
   batch.resize(out);
 }
 
-// Applies a prepared (sorted, deduplicated) batch in one bulk operation:
-// build a tree over the batch, then union it over `t`. Consumes `t`. Both
-// phases fork across `threads` workers (0 = config().threads).
+// Applies a prepared (strictly increasing, see prepare_batch) batch in one
+// bulk operation: one descent of `t` with the batch, splitting the version
+// only where a slice of the batch runs down to one key (see
+// multi_insert_rec). Consumes `t`. O(m log(n/m + 1)) work; forks across
+// `threads` workers (0 = config().threads) only where batch_work says both
+// sides are worth it, so a commit-sized batch into a big version forks at
+// most once. The result is bit-identical for every worker count.
 template <class K, class V, class A>
 Node<K, V, A>* multi_insert(Node<K, V, A>* t,
                             std::span<const std::pair<K, V>> batch,
                             int threads = 0) {
-  const int budget = weight_of(t) + batch.size() >= 2 * bulk_grain()
-                         ? detail::bulk_budget(threads)
-                         : 1;
-  return detail::union_rec(
-      t, detail::build_sorted_rec<K, V, A>(batch, budget), budget);
+  // An unsorted batch would be misrouted silently by the descent.
+  assert(std::adjacent_find(batch.begin(), batch.end(),
+                            [](const auto& a, const auto& b) {
+                              return !(a.first < b.first);
+                            }) == batch.end());
+  const int budget = detail::bulk_budget(
+      threads, batch_work(batch.size(), height_of(t)));
+  return detail::multi_insert_rec(t, batch, budget);
 }
 
 // Read-only point lookup; returns null when absent.

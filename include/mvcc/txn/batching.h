@@ -33,7 +33,7 @@
 //
 // The batch bound is the Appendix F knob: `max_batch` caps the ops folded
 // into one published version, trading throughput (bigger batches amortize
-// the sort + bulk-union) against submit-to-commit latency. So that the
+// the sort + bulk multi_insert) against submit-to-commit latency. So that the
 // trade is governed by the knob and not by queueing depth, admission
 // control bounds each producer's submitted-but-uncommitted ops at
 // ~max_batch (capped by ring capacity): a submitted op always lands in the
@@ -74,17 +74,34 @@ namespace mvcc::txn {
 //                             waiter was parked on rings that ran dry
 //   txn/admission_rejects     submit calls that blocked on the in-flight
 //                             bound before their op was admitted
+//   txn/stage/<stage>_ns      one commit's time in each stage, recorded
+//                             as consecutive laps of one timer so the four
+//                             stages add up to the whole commit:
+//                               prepare  acquire + prepare_batch
+//                               insert   multi_insert
+//                               publish  vm.set + the writer's release
+//                               reclaim  freeing (or deferring) the retired
+//                                        versions + advancing the cursors
 struct BatchingStats {
   obs::LatencyHistogram& batch_size;
   obs::LatencyHistogram& commit_latency_ns;
   obs::Counter& flattener_stalls;
   obs::Counter& admission_rejects;
+  obs::LatencyHistogram& stage_prepare_ns;
+  obs::LatencyHistogram& stage_insert_ns;
+  obs::LatencyHistogram& stage_publish_ns;
+  obs::LatencyHistogram& stage_reclaim_ns;
 
   static BatchingStats& get() {
-    static BatchingStats s{obs::registry().histogram("txn/batch_size"),
-                           obs::registry().histogram("txn/commit_latency_ns"),
-                           obs::registry().counter("txn/flattener_stalls"),
-                           obs::registry().counter("txn/admission_rejects")};
+    static BatchingStats s{
+        obs::registry().histogram("txn/batch_size"),
+        obs::registry().histogram("txn/commit_latency_ns"),
+        obs::registry().counter("txn/flattener_stalls"),
+        obs::registry().counter("txn/admission_rejects"),
+        obs::registry().histogram("txn/stage/prepare_ns"),
+        obs::registry().histogram("txn/stage/insert_ns"),
+        obs::registry().histogram("txn/stage/publish_ns"),
+        obs::registry().histogram("txn/stage/reclaim_ns")};
     return s;
   }
 };
@@ -439,29 +456,31 @@ class BatchingMap {
   // through the VM, hand what it proved unreachable to reclaim_retired
   // (which picks the lane from the commit's size), then advance the
   // per-producer committed cursors (which is what releases upsert_sync
-  // waiters and admission control).
+  // waiters and admission control). Under stats each stage's time is one
+  // lap of `laps` (see BatchingStats).
   void commit(std::vector<Entry>& batch, const std::vector<std::uint64_t>& from,
               std::size_t raw_ops) {
     obs::TraceSpan span("txn/flattener_commit", raw_ops);
+    BatchingStats* stats = obs::enabled() ? &BatchingStats::get() : nullptr;
+    Timer laps;
     Map* cur = vm_.acquire(writer_pid());
     ftree::prepare_batch(batch);
-    // The k deduplicated keys rewrite k root-to-leaf paths that share their
-    // top ~log2(k) levels: about k * (height - log2(k) + 1) copied nodes,
-    // which is also about what freeing the retired version visits.
-    const std::uint64_t k = batch.size();
-    const std::uint64_t levels = ftree::height_of(cur->root()) + 2;
-    const std::uint64_t shared = static_cast<std::uint64_t>(std::bit_width(k));
-    const std::uint64_t work = k * (levels > shared ? levels - shared : 1);
+    // Freeing the retired version visits about as many nodes as the
+    // multi_insert copies.
+    const std::uint64_t work =
+        ftree::batch_work(batch.size(), ftree::height_of(cur->root()));
+    if (stats != nullptr) stats->stage_prepare_ns.record(laps.lap());
     Map next = cur->multi_inserted(std::span<const Entry>(batch));
+    if (stats != nullptr) stats->stage_insert_ns.record(laps.lap());
     std::vector<Map*> dead =
         vm_.set(writer_pid(), alloc::create<Map>(std::move(next)));
     for (Map* m : vm_.release(writer_pid())) dead.push_back(m);
+    if (stats != nullptr) stats->stage_publish_ns.record(laps.lap());
     alloc::reclaim_retired(std::move(dead), work, alloc::PoolDispose{});
     ops_committed_.fetch_add(raw_ops, std::memory_order_relaxed);
     batches_committed_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      BatchingStats::get().batch_size.record(
-          static_cast<std::uint64_t>(raw_ops));
+    if (stats != nullptr) {
+      stats->batch_size.record(static_cast<std::uint64_t>(raw_ops));
     }
     for (int p = 0; p < producers_; ++p) {
       const std::uint64_t n = from[static_cast<std::size_t>(p)];
@@ -470,6 +489,7 @@ class BatchingMap {
       r.committed.store(r.committed.load(std::memory_order_relaxed) + n,
                         std::memory_order_release);
     }
+    if (stats != nullptr) stats->stage_reclaim_ns.record(laps.lap());
   }
 
   const int producers_;

@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "mvcc/common/rng.h"
+#include "mvcc/exec/pool.h"
 #include "mvcc/ftree/ops.h"
+#include "mvcc/obs/obs.h"
 
 namespace {
 
@@ -226,26 +228,181 @@ TEST(Ftree, RepeatedUnionsKeepBalance) {
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
-TEST(Ftree, MultiInsertMatchesLoop) {
-  const long long base_live = ftree::live_nodes();
-  Xoshiro256 rng(19);
-  std::map<std::uint64_t, std::uint64_t> want;
+// A tree of n random inserts with keys in [lo, lo + key_space).
+N* make_random_tree(Xoshiro256& rng, int n, std::uint64_t key_space,
+                    std::uint64_t lo = 0) {
   N* t = nullptr;
-  for (int i = 0; i < 3000; ++i) {
-    const std::uint64_t k = rng.next_below(5000);
-    const std::uint64_t v = rng();
-    t = ftree::insert(t, k, v);
-    want[k] = v;
+  for (int i = 0; i < n; ++i) {
+    t = ftree::insert(t, lo + rng.next_below(key_space), rng());
   }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> batch;
-  for (int i = 0; i < 300; ++i) batch.emplace_back(rng.next_below(5000), rng());
+  return t;
+}
+
+// Applies `batch` (prepared here) to `t` with multi_insert and checks the
+// result against a std::map model: same contents, AVL-balanced, and every
+// node freed once the result dies. Consumes `t`.
+void expect_multi_insert_matches(
+    N* t, std::vector<std::pair<std::uint64_t, std::uint64_t>> batch,
+    int threads) {
+  const long long live_before = ftree::live_nodes() -
+                                static_cast<long long>(ftree::weight_of(t));
+  std::map<std::uint64_t, std::uint64_t> want;
+  ftree::for_each(t,
+                  [&want](std::uint64_t k, std::uint64_t v) { want[k] = v; });
   ftree::prepare_batch(batch);
   for (const auto& [k, v] : batch) want[k] = v;
   N* u = ftree::multi_insert(
-      t, std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch));
+      t, std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch),
+      threads);
   expect_balanced(u);
   expect_matches(u, want);
-  ftree::collect(u);
+  EXPECT_EQ(ftree::collect(u), want.size());
+  EXPECT_EQ(ftree::live_nodes(), live_before);
+}
+
+TEST(Ftree, MultiInsertMatchesLoop) {
+  // The descent routes every slice of the batch by key, so the edge cases
+  // are the slices that run out early or never split: empty inputs, single
+  // keys, batches entirely on one side of the tree, pure updates and pure
+  // inserts — each sequentially and with forking allowed.
+  const long long base_live = ftree::live_nodes();
+  using Batch = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  for (int threads : {1, 4}) {
+    Xoshiro256 rng(19);
+    // Every case starts from the same 3000 random keys in [1000, 6000).
+    auto make_tree = [] {
+      Xoshiro256 tree_rng(20);
+      return make_random_tree(tree_rng, 3000, 5000, 1000);
+    };
+    std::vector<std::uint64_t> present;
+    std::vector<std::uint64_t> absent;
+    N* probe = make_tree();
+    for (std::uint64_t k = 1000; k < 6000; ++k) {
+      (ftree::find(probe, k) != nullptr ? present : absent).push_back(k);
+    }
+    ftree::collect(probe);
+    auto random_batch = [&rng](int n, std::uint64_t lo, std::uint64_t hi) {
+      Batch b;
+      for (int i = 0; i < n; ++i) {
+        b.emplace_back(lo + rng.next_below(hi - lo), rng());
+      }
+      return b;
+    };
+    auto pick = [&rng](const std::vector<std::uint64_t>& from, int n) {
+      Batch b;
+      for (int i = 0; i < n; ++i) {
+        b.emplace_back(from[rng.next_below(from.size())], rng());
+      }
+      return b;
+    };
+
+    // Mixed updates and inserts across the whole range.
+    expect_multi_insert_matches(make_tree(), random_batch(300, 0, 7000),
+                                threads);
+    // Empty tree: the batch alone.
+    expect_multi_insert_matches(nullptr, random_batch(300, 0, 7000),
+                                threads);
+    // Empty batch: the tree unchanged.
+    expect_multi_insert_matches(make_tree(), Batch{}, threads);
+    // One existing key; one new key.
+    expect_multi_insert_matches(make_tree(), pick(present, 1), threads);
+    expect_multi_insert_matches(make_tree(), pick(absent, 1), threads);
+    // Every key below, then above, the tree's range.
+    expect_multi_insert_matches(make_tree(), random_batch(200, 0, 1000),
+                                threads);
+    expect_multi_insert_matches(make_tree(), random_batch(200, 6000, 9000),
+                                threads);
+    // Update-only and insert-only.
+    expect_multi_insert_matches(make_tree(), pick(present, 300), threads);
+    expect_multi_insert_matches(make_tree(), pick(absent, 300), threads);
+  }
+  EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
+// Depth of `k` in `t`, counting the root as 1; 0 when absent.
+int depth_of(const N* t, std::uint64_t k) {
+  for (int d = 1; t != nullptr; ++d) {
+    if (k < t->key) {
+      t = t->left;
+    } else if (t->key < k) {
+      t = t->right;
+    } else {
+      return d;
+    }
+  }
+  return 0;
+}
+
+TEST(Ftree, MultiInsertPutsWrittenKeysNearTheRoot) {
+  // Where a slice of the batch runs down to one key, multi_insert splits
+  // that key out and joins it back as the subtree's root, so written keys
+  // end up shallow, close to where a union would leave them. Zipf-hot keys
+  // are written almost every batch, and this is what keeps their reads
+  // short. Mean depth for this batch: 9.1 here, 5.8 for a union of a batch
+  // tree, 15.3 for a descent that rewrites values in place; the tree's
+  // height is 17.
+  const long long base_live = ftree::live_nodes();
+  {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+    for (std::uint64_t k = 0; k < 65535; ++k) entries.emplace_back(k, k);
+    using Aug = ftree::NoAug<std::uint64_t, std::uint64_t>;
+    N* t = ftree::build_sorted<std::uint64_t, std::uint64_t, Aug>(
+        std::span<const std::pair<std::uint64_t, std::uint64_t>>(entries), 1);
+    Xoshiro256 rng(43);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> batch;
+    for (int i = 0; i < 64; ++i) batch.emplace_back(rng.next_below(65535), 0);
+    ftree::prepare_batch(batch);
+    N* u = ftree::multi_insert(
+        t, std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch), 1);
+    double total = 0;
+    for (const auto& [k, v] : batch) {
+      const int d = depth_of(u, k);
+      ASSERT_GT(d, 0);
+      total += d;
+    }
+    const double mean = total / static_cast<double>(batch.size());
+    EXPECT_LE(mean, 11.0) << "height " << u->height();
+    expect_balanced(u);
+    ftree::collect(u);
+  }
+  EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
+TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
+  // 64 keys into a 2^17-key version is about 770 estimated copies, below
+  // the two fork_work() (1024 at the default grain) a first fork needs, so
+  // it must not fork; a batch of 2^14 keys is far above and must.
+  // exec/tasks counts every fork the pool runs.
+  const long long base_live = ftree::live_nodes();
+  obs::set_enabled(true);
+  {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+    for (std::uint64_t k = 0; k < (std::uint64_t{1} << 17); ++k) {
+      entries.emplace_back(2 * k, k);
+    }
+    using Aug = ftree::NoAug<std::uint64_t, std::uint64_t>;
+    N* t = ftree::build_sorted<std::uint64_t, std::uint64_t, Aug>(
+        std::span<const std::pair<std::uint64_t, std::uint64_t>>(entries), 1);
+    Xoshiro256 rng(47);
+    auto tasks_added = [&](int n) {
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> batch;
+      for (int i = 0; i < n; ++i) {
+        batch.emplace_back(rng.next_below(std::uint64_t{1} << 18), 1);
+      }
+      ftree::prepare_batch(batch);
+      const std::uint64_t before = exec::exec_tasks().value();
+      N* u = ftree::multi_insert(
+          ftree::share(t),
+          std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch), 4);
+      const std::uint64_t added = exec::exec_tasks().value() - before;
+      ftree::collect(u);
+      return added;
+    };
+    EXPECT_EQ(tasks_added(64), 0u);
+    EXPECT_GE(tasks_added(1 << 14), 1u);
+    ftree::collect(t);
+  }
+  obs::set_enabled(false);
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
@@ -261,14 +418,6 @@ void expect_identical(const N* x, const N* y) {
   EXPECT_EQ(x->weight(), y->weight());
   expect_identical(x->left, y->left);
   expect_identical(x->right, y->right);
-}
-
-N* make_random_tree(Xoshiro256& rng, int n, std::uint64_t key_space) {
-  N* t = nullptr;
-  for (int i = 0; i < n; ++i) {
-    t = ftree::insert(t, rng.next_below(key_space), rng());
-  }
-  return t;
 }
 
 TEST(Ftree, ParallelUnionBitIdenticalToSequential) {
@@ -320,9 +469,10 @@ TEST(Ftree, ParallelBuildSortedAndMultiInsertBitIdentical) {
 }
 
 TEST(Ftree, ParallelUnionRefcountsExactWithSharedInputs) {
-  // Parallel unions over inputs shared with live versions: the forked
-  // workers consume disjoint owned references, so the counts stay exact —
-  // the survivors keep their content and the counter returns to baseline.
+  // Parallel unions and multi_inserts over inputs shared with live
+  // versions: the forked workers consume disjoint owned references, so the
+  // counts stay exact — the survivors keep their content and the counter
+  // returns to baseline.
   const long long base_live = ftree::live_nodes();
   {
     Xoshiro256 rng(31);
@@ -335,12 +485,22 @@ TEST(Ftree, ParallelUnionRefcountsExactWithSharedInputs) {
       want_a[k] = v;
     }
     N* b = make_random_tree(rng, 8000, std::uint64_t{1} << 40);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> batch;
+    ftree::for_each(b, [&batch](std::uint64_t k, std::uint64_t v) {
+      batch.emplace_back(k, v);
+    });
+    const std::span<const std::pair<std::uint64_t, std::uint64_t>> sp(batch);
     for (int round = 0; round < 4; ++round) {
       N* u1 = ftree::union_(ftree::share(a), ftree::share(b), 4);
       N* u2 = ftree::union_(ftree::share(a), ftree::share(b), 4);
       expect_identical(u1, u2);
       ftree::collect(u1);
       ftree::collect(u2);
+      N* m1 = ftree::multi_insert(ftree::share(a), sp, 4);
+      N* m2 = ftree::multi_insert(ftree::share(a), sp, 4);
+      expect_identical(m1, m2);
+      ftree::collect(m1);
+      ftree::collect(m2);
     }
     expect_matches(a, want_a);  // survivor untouched by the parallel runs
     expect_balanced(a);
