@@ -101,7 +101,8 @@ void BM_TreeCollectOneVersionOfMany(benchmark::State& state) {
 // the CI allocator A/B harness: a default (slab) run and an
 // MVCC_ALLOC=malloc run of this binary must report the exact same freed
 // count and final live count — the freed SET is allocator-invariant, only
-// where the storage goes differs.
+// where the storage goes differs. The exact-reachability oracle's count of
+// the nodes both versions reach is printed beside it: freed must equal it.
 void print_selfcheck() {
   using N = ftree::Node<std::uint64_t, std::uint64_t>;
   constexpr std::uint64_t kMod = 100003;
@@ -115,9 +116,12 @@ void print_selfcheck() {
     derived = ftree::insert(
         derived, static_cast<std::uint64_t>((i * 40503ull) % kMod), i + 1);
   }
+  const std::size_t reachable =
+      ftree::reachable_nodes(std::vector<const N*>{base, derived});
   std::size_t freed = ftree::collect(derived);
   freed += ftree::collect(base);
   std::printf("collect/selfcheck_freed=%zu\n", freed);
+  std::printf("collect/selfcheck_reachable=%zu\n", reachable);
   std::printf("collect/selfcheck_live=%lld\n", ftree::live_nodes());
 }
 

@@ -1,7 +1,7 @@
 // Microbenchmarks for the functional tree substrate: point ops, range sums,
 // and the parallel bulk operations (union / multi_insert) whose join-based
 // parallelism the batching writer relies on, including the small-batch
-// multi_insert regime its commits live in.
+// multi_insert regime its commits live in and its stage decomposition.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mvcc/common/rng.h"
+#include "mvcc/common/timing.h"
 #include "mvcc/ftree/fmap.h"
 
 namespace {
@@ -167,6 +168,67 @@ void BM_TreeBuildSortedThreads(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+void BM_TreeCommitStages(benchmark::State& state) {
+  // One writer commit split into its tree stages, per written key, on one
+  // worker: walk_ns is a read-only find of a fresh batch of keys (the
+  // cache-miss floor of any descent), insert_ns the multi_insert that
+  // copies the batch's paths, collect_ns the precise collect of the
+  // retired version. The map holds the dense keys [0, range(0)) and every
+  // iteration writes range(1) uniform keys and replaces the version, as
+  // write-stream's flattener does; kWarm batches first let written keys
+  // settle where multi_insert leaves them. copied/op is new nodes per
+  // written key, nodes/key the live nodes per entry at the end.
+  using Map = ftree::FMap<std::uint64_t, std::uint64_t>;
+  using Batch = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  constexpr int kWarm = 256;
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  Batch entries;
+  entries.reserve(n);
+  for (std::uint64_t k = 0; k < n; ++k) entries.emplace_back(k, k);
+  Map cur = Map::from_entries(std::move(entries));
+  Xoshiro256 rng(15);
+  Batch batch;
+  auto next_batch = [&] {
+    batch.clear();
+    for (std::size_t i = 0; i < m; ++i) {
+      batch.emplace_back(rng.next_below(n), rng());
+    }
+    ftree::prepare_batch(batch);
+    return std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch);
+  };
+  for (int i = 0; i < kWarm; ++i) cur = cur.multi_inserted(next_batch(), 1);
+  std::uint64_t walk_ns = 0, walked = 0, insert_ns = 0, collect_ns = 0;
+  std::uint64_t ops = 0;
+  long long copied = 0;
+  for (auto _ : state) {
+    const auto probes = next_batch();
+    Timer t;
+    for (const auto& [k, v] : probes) benchmark::DoNotOptimize(cur.find(k));
+    walk_ns += t.lap();
+    walked += probes.size();
+    const auto writes = next_batch();
+    t.reset();
+    const long long live = ftree::live_nodes();
+    Map next = cur.multi_inserted(writes, 1);
+    insert_ns += t.lap();
+    copied += ftree::live_nodes() - live;
+    cur = std::move(next);  // drops the last reference to the old root
+    collect_ns += t.lap();
+    ops += writes.size();
+  }
+  const double per = ops > 0 ? 1.0 / static_cast<double>(ops) : 0.0;
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  state.counters["walk_ns"] =
+      walked > 0 ? static_cast<double>(walk_ns) / static_cast<double>(walked)
+                 : 0.0;
+  state.counters["insert_ns"] = static_cast<double>(insert_ns) * per;
+  state.counters["collect_ns"] = static_cast<double>(collect_ns) * per;
+  state.counters["copied/op"] = static_cast<double>(copied) * per;
+  state.counters["nodes/key"] = static_cast<double>(ftree::live_nodes()) /
+                                static_cast<double>(cur.size());
+}
+
 }  // namespace
 
 BENCHMARK(BM_TreeInsert)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
@@ -187,5 +249,10 @@ BENCHMARK(BM_TreeBuildSortedThreads)
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 2})
     ->Args({1 << 20, 4});
+
+BENCHMARK(BM_TreeCommitStages)
+    ->Args({1 << 21, 900})
+    ->Args({1 << 19, 120})
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -80,11 +80,12 @@
 
 namespace mvcc::alloc {
 
-// Size classes are multiples of 16 bytes up to 256; every node/tuple/map
-// payload in the system fits (Node<u64,u64> is 48 bytes). Larger requests
-// take the operator-new fallback in the routing layer below.
+// Size classes are multiples of 16 bytes up to 512; every node/tuple/map
+// payload in the system fits (a u64 -> u64 tree Inner is 48 bytes, its
+// leaf Block 496). Larger requests take the operator-new fallback in the
+// routing layer below.
 inline constexpr std::size_t kQuantum = 16;
-inline constexpr std::size_t kNumClasses = 16;
+inline constexpr std::size_t kNumClasses = 32;
 inline constexpr std::size_t kMaxBlockBytes = kQuantum * kNumClasses;
 inline constexpr std::size_t kMagazineSize = 64;  // blocks per magazine
 

@@ -14,6 +14,16 @@
 // with it: the version is split only where the batch runs out, not once
 // per batch key.
 //
+// Leaves are blocks (the PaC-tree layout): a Block is one allocation
+// holding a sorted run of up to kLeaf entries, with its own count, weight
+// and aug, at height 1; an Inner node holds one entry and two children,
+// each an Inner, a Block or null. Every subtree of at most kLeaf entries is
+// one Block (make_node packs any smaller result), so a path copy ends in
+// one block copy instead of the bottom few levels of nodes. Of the join
+// algorithms only make_node and expose know the layout; multi_insert,
+// insert and split add a fast path where their work lands in one block,
+// and the readers and collect read blocks directly.
+//
 // Ownership protocol: a Node* is an owned reference. Every function taking
 // Node* by value CONSUMES that reference (the functional analogue of move
 // semantics); call `share` first to keep using a tree afterwards. Functions
@@ -34,6 +44,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -45,7 +57,8 @@
 namespace mvcc::ftree {
 
 // Global live-node counter, shared by all instantiations; tests use it to
-// prove refcount exactness (it returns to zero once every version dies).
+// prove refcount exactness (it returns to zero once every version dies). A
+// block counts as one node.
 inline std::atomic<long long> g_live_nodes{0};
 
 inline long long live_nodes() {
@@ -118,43 +131,51 @@ struct AugSum {
   static T combine(const T& l, const T& m, const T& r) { return l + m + r; }
 };
 
-// Height-packed node layout: height and weight share one 64-bit word
-// (7 bits of height — an AVL tree needs height > 127 only beyond 2^87
-// nodes — under 57 bits of weight), and an empty augmentation occupies no
-// storage via [[no_unique_address]]. A NoAug<u64, u64> node is 48 bytes
-// instead of the naive 64: three nodes per pair of cache lines on the
-// collect/insert hot paths.
+// Entries per leaf block: a u64 -> u64 block (with or without a sum aug)
+// fills the pool's 512-byte size class. At 2^21 keys and 900-key batches
+// (BM_TreeCommitStages, 4-vCPU Xeon VM) 30 entries measured 3.5 us per
+// written key in multi_insert and 1.4 in collect, against 3.7-4.3 and
+// 1.7-1.9 for 14 entries (a 256-byte block).
+inline constexpr std::uint32_t kLeaf = 30;
+
+template <class K, class V, class A>
+struct Inner;
+template <class K, class V, class A>
+struct Block;
+
+// The header both node kinds share, and the type a tree pointer points to:
+// the reference count, the subtree aug, and height and weight packed in one
+// word (7 bits of height — an AVL tree needs height > 127 only beyond 2^87
+// nodes — under 57 bits of weight). An empty augmentation occupies no
+// storage via [[no_unique_address]]. Height 1 is exactly a Block: every
+// Inner holds more than kLeaf entries, so it has a child and height >= 2.
 template <class K, class V, class A = NoAug<K, V>>
 struct Node {
   static constexpr std::uint32_t kHeightBits = 7;
   static constexpr std::uint64_t kHeightMask = (1u << kHeightBits) - 1;
 
-  Node* left;
-  Node* right;
-  std::atomic<std::uint32_t> refs;
+  std::atomic<std::uint32_t> refs{1};
   [[no_unique_address]] typename A::T aug;
-  K key;
-  V val;
   std::uint64_t hw;  // weight << kHeightBits | height
 
   std::uint32_t height() const {
     return static_cast<std::uint32_t>(hw & kHeightMask);
   }
   std::uint64_t weight() const { return hw >> kHeightBits; }
+  bool is_block() const { return height() == 1; }
 
-  Node(const K& k, const V& v, Node* l, Node* r)
-      : left(l),
-        right(r),
-        refs(1),
-        aug(A::combine(l != nullptr ? l->aug : A::zero(), A::leaf(k, v),
-                       r != nullptr ? r->aug : A::zero())),
-        key(k),
-        val(v),
-        hw(((1 + (l != nullptr ? l->weight() : 0u) +
-             (r != nullptr ? r->weight() : 0u))
-            << kHeightBits) |
-           (1 + std::max(l != nullptr ? l->height() : 0u,
-                         r != nullptr ? r->height() : 0u))) {}
+  Inner<K, V, A>* inner() { return static_cast<Inner<K, V, A>*>(this); }
+  const Inner<K, V, A>* inner() const {
+    return static_cast<const Inner<K, V, A>*>(this);
+  }
+  Block<K, V, A>* block() { return static_cast<Block<K, V, A>*>(this); }
+  const Block<K, V, A>* block() const {
+    return static_cast<const Block<K, V, A>*>(this);
+  }
+
+ protected:
+  Node(const typename A::T& a, std::uint64_t weight, std::uint32_t height)
+      : aug(a), hw(weight << kHeightBits | height) {}
 };
 
 template <class K, class V, class A>
@@ -172,22 +193,85 @@ inline typename A::T aug_of(const Node<K, V, A>* t) {
   return t != nullptr ? t->aug : A::zero();
 }
 
+// One entry over two children. A NoAug<u64, u64> Inner is 48 bytes.
+template <class K, class V, class A>
+struct Inner : Node<K, V, A> {
+  Node<K, V, A>* left;
+  Node<K, V, A>* right;
+  K key;
+  V val;
+
+  Inner(const K& k, const V& v, Node<K, V, A>* l, Node<K, V, A>* r)
+      : Node<K, V, A>(A::combine(aug_of(l), A::leaf(k, v), aug_of(r)),
+                      1 + weight_of(l) + weight_of(r),
+                      1 + std::max(height_of(l), height_of(r))),
+        left(l),
+        right(r),
+        key(k),
+        val(v) {}
+};
+
+// A sorted run of 1..kLeaf entries, keys and values in separate arrays so
+// a search reads only keys. Slots at or past size() hold default values.
+template <class K, class V, class A>
+struct Block : Node<K, V, A> {
+  K keys[kLeaf];
+  V vals[kLeaf];
+
+  Block() : Node<K, V, A>(A::zero(), 0, 1) {}
+
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(this->weight());
+  }
+
+  // Index of the first key >= k (size() if none); upper: first key > k.
+  std::uint32_t lower(const K& k) const {
+    return static_cast<std::uint32_t>(std::lower_bound(keys, keys + size(),
+                                                       k) - keys);
+  }
+  std::uint32_t upper(const K& k) const {
+    return static_cast<std::uint32_t>(std::upper_bound(keys, keys + size(),
+                                                       k) - keys);
+  }
+
+  // Aggregate over the entries [from, to); zero for an empty range.
+  typename A::T fold(std::uint32_t from, std::uint32_t to) const {
+    typename A::T acc = A::zero();
+    for (std::uint32_t i = from; i < to; ++i) {
+      acc = A::combine(acc, A::leaf(keys[i], vals[i]), A::zero());
+    }
+    return acc;
+  }
+
+  // Publishes the first n slots as the block's entries.
+  void seal(std::uint32_t n) {
+    this->hw = std::uint64_t{n} << Node<K, V, A>::kHeightBits | 1;
+    this->aug = fold(0, n);
+  }
+};
+
 // The allocation policy every node goes through — the explicit seam
 // between the tree algorithms and the alloc/ slab pool. `create`/`destroy`
 // are the unit operations (routing honors MVCC_ALLOC: slab pool by
 // default, plain operator new/delete under "malloc"); `free_batch` hands
 // an exact freed set's raw storage (destructors already run) back to the
 // pool wholesale, which is what makes a precise collect O(freed) in the
-// allocator too, not just in the traversal.
+// allocator too, not just in the traversal. Both node kinds are counted in
+// live_nodes and, under obs, in live bytes.
 struct NodeAlloc {
   template <class N, class... Args>
   static N* create(Args&&... args) {
+    const long long now =
+        g_live_nodes.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (obs::enabled()) note_nodes_alloc(now, sizeof(N));
     return alloc::create<N>(std::forward<Args>(args)...);
   }
 
   template <class N>
   static void destroy(N* n) {
     alloc::destroy(n);
+    g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
+    if (obs::enabled()) note_nodes_freed(sizeof(N));
   }
 
   template <class N>
@@ -196,17 +280,6 @@ struct NodeAlloc {
     mem.clear();
   }
 };
-
-// Allocates a node owning the references `l` and `r` (no count adjustment:
-// ownership transfers in). The returned pointer is one owned reference.
-template <class K, class V, class A>
-Node<K, V, A>* make_node(const K& k, const V& v, Node<K, V, A>* l,
-                         Node<K, V, A>* r) {
-  const long long now =
-      g_live_nodes.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (obs::enabled()) note_nodes_alloc(now, sizeof(Node<K, V, A>));
-  return NodeAlloc::create<Node<K, V, A>>(k, v, l, r);
-}
 
 // Takes an additional owned reference to `t` (which may be null).
 template <class K, class V, class A>
@@ -229,74 +302,230 @@ std::size_t collect(Node<K, V, A>* t) {
   // covers calls that actually free (the early returns above are the hot
   // no-op path). Nested collects through ~V emit nested spans.
   obs::TraceSpan span("ftree/collect");
-  std::size_t freed = 0;
   // The thread-local stack is reused across calls so steady-state version
-  // drops don't reallocate it — but `delete dead` can reenter collect at
-  // this very instantiation when V's destructor drops another tree of the
-  // same type (map-of-maps payloads, txn batching vectors, the inverted
-  // index). The in-use guard routes such nested calls to a plain local
-  // stack, leaving the outer iteration's state intact; only the outermost
-  // frame — the steady-state path — touches the shared allocation.
-  thread_local std::vector<Node<K, V, A>*> shared_stack;
-  thread_local std::vector<void*> shared_freed_mem;
-  thread_local bool shared_stack_in_use = false;
-  std::vector<Node<K, V, A>*> local_stack;
-  std::vector<void*> local_freed_mem;
-  const bool outermost = !shared_stack_in_use;
-  std::vector<Node<K, V, A>*>& stack = outermost ? shared_stack : local_stack;
+  // drops don't reallocate it — but destroying a dead node can reenter
+  // collect at this very instantiation when V's destructor drops another
+  // tree of the same type (map-of-maps payloads, txn batching vectors, the
+  // inverted index). The in-use guard routes such nested calls to plain
+  // local stacks, leaving the outer iteration's state intact; only the
+  // outermost frame — the steady-state path — touches the shared ones.
+  struct Buffers {
+    std::vector<Node<K, V, A>*> stack;
+    std::vector<void*> inners;  // freed raw storage, one list per kind
+    std::vector<void*> blocks;
+  };
+  thread_local Buffers shared;
+  thread_local bool shared_in_use = false;
+  Buffers local;
+  const bool outermost = !shared_in_use;
+  Buffers& s = outermost ? shared : local;
+  if (outermost) {
+    shared_in_use = true;
+    s.stack.clear();
+    s.inners.clear();
+    s.blocks.clear();
+  }
   // Destructors run inline (a payload's ~V may legitimately reenter
   // collect), but the freed RAW STORAGE is batched and returned to the
-  // allocator in one deallocate_batch at the end — the whole freed set
-  // flows back to the thread cache / depot wholesale instead of one
-  // heap free at a time.
-  std::vector<void*>& freed_mem =
-      outermost ? shared_freed_mem : local_freed_mem;
-  if (outermost) {
-    shared_stack_in_use = true;
-    stack.clear();
-    freed_mem.clear();
-  }
-  stack.push_back(t);
-  while (!stack.empty()) {
-    Node<K, V, A>* dead = stack.back();
-    stack.pop_back();
-    for (Node<K, V, A>* child : {dead->left, dead->right}) {
+  // allocator in one deallocate_batch per kind at the end — the whole
+  // freed set flows back to the thread cache / depot wholesale instead of
+  // one heap free at a time.
+  s.stack.push_back(t);
+  while (!s.stack.empty()) {
+    Node<K, V, A>* dead = s.stack.back();
+    s.stack.pop_back();
+    if (dead->is_block()) {
+      Block<K, V, A>* b = dead->block();
+      b->~Block();  // may reenter collect through ~V; see guard above
+      s.blocks.push_back(b);
+      continue;
+    }
+    Inner<K, V, A>* in = dead->inner();
+    for (Node<K, V, A>* child : {in->left, in->right}) {
       if (child != nullptr &&
           child->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        stack.push_back(child);
+        s.stack.push_back(child);
       }
     }
-    dead->~Node();  // may reenter collect through ~V; see guard above
-    freed_mem.push_back(dead);
-    ++freed;
+    in->~Inner();
+    s.inners.push_back(in);
   }
-  NodeAlloc::free_batch<Node<K, V, A>>(freed_mem);
-  if (outermost) shared_stack_in_use = false;
+  const std::size_t inners = s.inners.size();
+  const std::size_t blocks = s.blocks.size();
+  NodeAlloc::free_batch<Inner<K, V, A>>(s.inners);
+  NodeAlloc::free_batch<Block<K, V, A>>(s.blocks);
+  if (outermost) shared_in_use = false;
+  const std::size_t freed = inners + blocks;
   g_live_nodes.fetch_sub(static_cast<long long>(freed),
                          std::memory_order_relaxed);
-  if (obs::enabled()) note_nodes_freed(freed * sizeof(Node<K, V, A>));
+  if (obs::enabled()) {
+    note_nodes_freed(inners * sizeof(Inner<K, V, A>) +
+                     blocks * sizeof(Block<K, V, A>));
+  }
   span.set_arg(freed);
   return freed;
 }
 
-// Deconstructs an owned reference to `t` (non-null): copies out key/value,
-// hands the caller owned references to both children, and releases `t`.
-// When the caller holds the only reference the children's counts are stolen
-// rather than bumped, so hot single-version paths touch each count once.
-// (Observing refs == 1 is stable: we hold a reference, so it is ours, and
-// no other thread can legitimately share or drop a node it doesn't own.)
+// Exact-reachability oracle for the Thm 4.2 checks: the number of distinct
+// nodes reachable from `roots`. At a quiescent point it must equal the live
+// nodes of those versions, and collecting a retired version must free
+// exactly reachable({old} + survivors) - reachable(survivors). Debug-only:
+// O(reachable) time and a hash set of that size, for tests.
+template <class K, class V, class A>
+std::size_t reachable_nodes(const std::vector<const Node<K, V, A>*>& roots) {
+  std::unordered_set<const Node<K, V, A>*> seen;
+  std::vector<const Node<K, V, A>*> stack(roots.begin(), roots.end());
+  while (!stack.empty()) {
+    const Node<K, V, A>* t = stack.back();
+    stack.pop_back();
+    if (t == nullptr || !seen.insert(t).second || t->is_block()) continue;
+    stack.push_back(t->inner()->left);
+    stack.push_back(t->inner()->right);
+  }
+  return seen.size();
+}
+
+namespace detail {
+
+// Whether the caller's owned reference is the only one. Stable once seen:
+// we hold a reference, so it is ours, and no other thread can legitimately
+// share or drop a node it doesn't own.
+template <class K, class V, class A>
+inline bool unique(const Node<K, V, A>* t) {
+  return t->refs.load(std::memory_order_acquire) == 1;
+}
+
+// Releases an owned reference to block `b`, freeing it if it was the last.
+template <class K, class V, class A>
+inline void drop(Block<K, V, A>* b) {
+  if (unique(b) || b->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    NodeAlloc::destroy(b);
+  }
+}
+
+// A new block over entries [from, to) of `b` (null when empty); `b` is
+// only read.
+template <class K, class V, class A>
+Node<K, V, A>* slice(const Block<K, V, A>* b, std::uint32_t from,
+                     std::uint32_t to) {
+  if (from >= to) return nullptr;
+  Block<K, V, A>* out = NodeAlloc::create<Block<K, V, A>>();
+  std::copy(b->keys + from, b->keys + to, out->keys);
+  std::copy(b->vals + from, b->vals + to, out->vals);
+  out->seal(to - from);
+  return out;
+}
+
+// Consumes `b` and returns its first n entries, truncating `b` in place
+// when the caller holds the only reference.
+template <class K, class V, class A>
+Node<K, V, A>* prefix(Block<K, V, A>* b, std::uint32_t n) {
+  if (n == b->size()) return b;
+  if (n == 0 || !unique(b)) {
+    Node<K, V, A>* out = slice(b, 0, n);
+    drop(b);
+    return out;
+  }
+  if constexpr (!std::is_trivially_destructible_v<K> ||
+                !std::is_trivially_destructible_v<V>) {
+    // Vacated slots must not keep payloads (and what they own) alive.
+    std::fill(b->keys + n, b->keys + b->size(), K{});
+    std::fill(b->vals + n, b->vals + b->size(), V{});
+  }
+  b->seal(n);
+  return b;
+}
+
+// A new block over sorted entries (null when empty; at most kLeaf).
+template <class K, class V, class A>
+Node<K, V, A>* make_block(std::span<const std::pair<K, V>> entries) {
+  if (entries.empty()) return nullptr;
+  assert(entries.size() <= kLeaf);
+  Block<K, V, A>* b = NodeAlloc::create<Block<K, V, A>>();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    b->keys[i] = entries[i].first;
+    b->vals[i] = entries[i].second;
+  }
+  b->seal(static_cast<std::uint32_t>(entries.size()));
+  return b;
+}
+
+// Packs l < k < r (blocks or null, at most kLeaf entries in all) into one
+// block, appending to `l` in place when the caller holds its only
+// reference. Consumes l and r.
+template <class K, class V, class A>
+Node<K, V, A>* pack(Node<K, V, A>* l, const K& k, const V& v,
+                    Node<K, V, A>* r) {
+  Block<K, V, A>* out;
+  std::uint32_t n = 0;
+  if (l != nullptr && unique(l)) {
+    out = l->block();
+    n = out->size();
+  } else {
+    out = NodeAlloc::create<Block<K, V, A>>();
+    if (l != nullptr) {
+      const Block<K, V, A>* lb = l->block();
+      n = lb->size();
+      std::copy(lb->keys, lb->keys + n, out->keys);
+      std::copy(lb->vals, lb->vals + n, out->vals);
+      drop(l->block());
+    }
+  }
+  out->keys[n] = k;
+  out->vals[n] = v;
+  ++n;
+  if (r != nullptr) {
+    const Block<K, V, A>* rb = r->block();
+    std::copy(rb->keys, rb->keys + rb->size(), out->keys + n);
+    std::copy(rb->vals, rb->vals + rb->size(), out->vals + n);
+    n += rb->size();
+    drop(r->block());
+  }
+  out->seal(n);
+  return out;
+}
+
+}  // namespace detail
+
+// The node constructor: one owned reference to a tree over l < k < r,
+// owning the references `l` and `r` (no count adjustment: ownership
+// transfers in). A result of at most kLeaf entries is packed into one
+// block; anything larger is a new Inner over l and r.
+template <class K, class V, class A>
+Node<K, V, A>* make_node(const K& k, const V& v, Node<K, V, A>* l,
+                         Node<K, V, A>* r) {
+  if (weight_of(l) + weight_of(r) < kLeaf) return detail::pack(l, k, v, r);
+  return NodeAlloc::create<Inner<K, V, A>>(k, v, l, r);
+}
+
+// Deconstructs an owned reference to `t` (non-null): copies out an entry,
+// hands the caller owned references to the trees on either side of it, and
+// releases `t`. An Inner hands back its entry and children; a block its
+// middle entry and two half-blocks. When the caller holds the only
+// reference the children's counts are stolen rather than bumped (and a
+// block's left half reuses it), so hot single-version paths touch each
+// count once.
 template <class K, class V, class A>
 inline void expose(Node<K, V, A>* t, Node<K, V, A>** l, Node<K, V, A>** r,
                    K* k, V* v) {
   assert(t != nullptr);
-  *k = t->key;
-  *v = t->val;
-  if (t->refs.load(std::memory_order_acquire) == 1) {
-    *l = t->left;
-    *r = t->right;
-    NodeAlloc::destroy(t);
-    g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
-    if (obs::enabled()) note_nodes_freed(sizeof(Node<K, V, A>));
+  if (t->is_block()) {
+    Block<K, V, A>* b = t->block();
+    const std::uint32_t n = b->size();
+    const std::uint32_t mid = n / 2;
+    *k = b->keys[mid];
+    *v = b->vals[mid];
+    *r = detail::slice(b, mid + 1, n);
+    *l = detail::prefix(b, mid);
+    return;
+  }
+  Inner<K, V, A>* in = t->inner();
+  *k = in->key;
+  *v = in->val;
+  if (detail::unique(t)) {
+    *l = in->left;
+    *r = in->right;
+    NodeAlloc::destroy(in);
   } else {
     // Shared with other versions: bump the children BEFORE dropping t (we
     // still own t, so its child references pin them), then check whether
@@ -304,21 +533,19 @@ inline void expose(Node<K, V, A>* t, Node<K, V, A>** l, Node<K, V, A>** r,
     // version sharing t may have released its reference between our load
     // above and the fetch_sub below. Ignoring that result would leak t and
     // strand one count on each child.
-    *l = share(t->left);
-    *r = share(t->right);
+    *l = share(in->left);
+    *r = share(in->right);
     if (t->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // We were the last owner after all. Free t, dropping its child
       // references — which cannot hit zero, because the shares above are
       // ours and still outstanding.
-      if (t->left != nullptr) {
-        t->left->refs.fetch_sub(1, std::memory_order_acq_rel);
+      if (in->left != nullptr) {
+        in->left->refs.fetch_sub(1, std::memory_order_acq_rel);
       }
-      if (t->right != nullptr) {
-        t->right->refs.fetch_sub(1, std::memory_order_acq_rel);
+      if (in->right != nullptr) {
+        in->right->refs.fetch_sub(1, std::memory_order_acq_rel);
       }
-      NodeAlloc::destroy(t);
-      g_live_nodes.fetch_sub(1, std::memory_order_relaxed);
-      if (obs::enabled()) note_nodes_freed(sizeof(Node<K, V, A>));
+      NodeAlloc::destroy(in);
     }
   }
 }
@@ -364,18 +591,38 @@ Node<K, V, A>* balance_node(Node<K, V, A>* l, const K& k, const V& v,
   return make_node(k, v, l, r);
 }
 
-// Path-copying insert-or-replace. Consumes `t`; returns the new version's
-// root. O(log n) new nodes; everything off the search path is shared.
-template <class K, class V, class A>
-Node<K, V, A>* insert(Node<K, V, A>* t, const K& k, const V& v) {
-  if (t == nullptr) return make_node<K, V, A>(k, v, nullptr, nullptr);
-  Node<K, V, A>*l, *r;
-  K tk;
-  V tv;
-  expose(t, &l, &r, &tk, &tv);
-  if (k < tk) return balance_node(insert(l, k, v), tk, tv, r);
-  if (tk < k) return balance_node(l, tk, tv, insert(r, k, v));
-  return make_node(k, v, l, r);
+// Fork-join granularity for the bulk operations: a recursive step forks
+// only when both sides carry a quarter of this many estimated node copies
+// (fork_work), so the fork cost is always amortized. Tunable (MVCC_GRAIN via
+// config().grain, default 2048, floored at kGrainFloor) for grain sweeps;
+// resolved once per process, so set it before the first bulk op.
+inline std::uint64_t bulk_grain() {
+  static const std::uint64_t g = static_cast<std::uint64_t>(config().grain);
+  return g;
+}
+
+// Leaf blocks that hold n sorted entries: B blocks and their B - 1
+// separators hold up to B * (kLeaf + 1) - 1 entries.
+inline std::uint64_t blocks_for(std::uint64_t n) {
+  return (n + kLeaf + 1) / (kLeaf + 1);
+}
+
+// Per-key copies below a key's path, in Inner copies: its block copy
+// (about 1.3 Inner copies, measured cold on a 2^21-key u64 map) and about
+// two Inners that the single-key finish's split and join add.
+inline constexpr std::uint64_t kLeafWork = 3;
+
+// Estimated node copies, in Inner copies, for applying m sorted keys to a
+// tree of height h: the m root-to-leaf paths share their top ~log2(m)
+// levels, so each key copies about h - bit_width(m) Inners plus kLeafWork
+// (12.3 nodes per key measured at h = 20, m = 900; 14.1 at h = 18,
+// m = 120). Into an empty tree it is the cost of building the batch, a
+// block and a separator per block. Freeing the retired version visits
+// about as many nodes, so commit sizing uses it too.
+inline std::uint64_t batch_work(std::uint64_t m, std::uint32_t h) {
+  if (h == 0) return blocks_for(m) * kLeafWork;
+  const std::uint64_t shared = static_cast<std::uint64_t>(std::bit_width(m));
+  return m * ((h > shared ? h - shared : 0) + kLeafWork);
 }
 
 // Joins l < k < r into one AVL tree, for arbitrary height difference.
@@ -411,10 +658,21 @@ struct SplitResult {
 };
 
 // Splits `t` at `k` into keys < k and keys > k, reporting k's value if
-// present. Consumes `t`. O(log n).
+// present. Consumes `t`. O(log n); the block `k` falls in is cut in two.
 template <class K, class V, class A>
 SplitResult<K, V, A> split(Node<K, V, A>* t, const K& k) {
   if (t == nullptr) return {nullptr, nullptr, false, V{}};
+  if (t->is_block()) {
+    Block<K, V, A>* b = t->block();
+    const std::uint32_t i = b->lower(k);
+    const bool found = i < b->size() && !(k < b->keys[i]);
+    if (i == 0 && !found) return {nullptr, t, false, V{}};
+    SplitResult<K, V, A> s{nullptr, nullptr, found,
+                           found ? b->vals[i] : V{}};
+    s.right = detail::slice(b, i + (found ? 1 : 0), b->size());
+    s.left = detail::prefix(b, i);
+    return s;
+  }
   Node<K, V, A>*l, *r;
   K tk;
   V tv;
@@ -428,27 +686,6 @@ SplitResult<K, V, A> split(Node<K, V, A>* t, const K& k) {
     return {join(l, tk, tv, s.left), s.right, s.found, s.value};
   }
   return {l, r, true, tv};
-}
-
-// Fork-join granularity for the bulk operations: a recursive step forks
-// only when both sides carry a quarter of this many estimated node copies
-// (fork_work), so the fork cost is always amortized. Tunable (MVCC_GRAIN via
-// config().grain, default 2048, floored at kGrainFloor) for grain sweeps;
-// resolved once per process, so set it before the first bulk op.
-inline std::uint64_t bulk_grain() {
-  static const std::uint64_t g = static_cast<std::uint64_t>(config().grain);
-  return g;
-}
-
-// Estimated node copies for applying m sorted keys to a tree of height h:
-// the m root-to-leaf paths share their top ~log2(m) levels, so each key
-// copies about h + 1 - bit_width(m) nodes, and at least its own. Into an
-// empty tree this is m, the cost of building the batch. Freeing the
-// retired version visits about as many nodes, so commit sizing uses it too.
-inline std::uint64_t batch_work(std::uint64_t m, std::uint32_t h) {
-  const std::uint64_t levels = std::uint64_t{h} + 1;
-  const std::uint64_t shared = static_cast<std::uint64_t>(std::bit_width(m));
-  return m * (levels > shared ? levels - shared : 1);
 }
 
 namespace detail {
@@ -514,34 +751,94 @@ Node<K, V, A>* union_rec(Node<K, V, A>* a, Node<K, V, A>* b, int budget) {
               union_rec(s.right, br, budget));
 }
 
-// Recursive core of build_sorted with a fork-join worker budget; the two
-// halves of the span are disjoint, so the same ownership argument applies.
+// Recursive core of build_sorted with a fork-join worker budget: spreads
+// the entries evenly over `blocks` leaf blocks under a perfectly balanced
+// spine, so sibling heights differ by at most one. The two halves of the
+// span are disjoint, so the same ownership argument applies.
 template <class K, class V, class A>
 Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
-                                int budget) {
-  if (entries.empty()) return nullptr;
-  const std::size_t mid = entries.size() / 2;
-  if (should_fork(budget, mid, entries.size() - mid - 1)) {
+                                std::uint64_t blocks, int budget) {
+  if (blocks <= 1) return make_block<K, V, A>(entries);
+  const std::uint64_t lblocks = blocks / 2;
+  const std::uint64_t rblocks = blocks - lblocks;
+  const std::size_t mid =
+      static_cast<std::size_t>((entries.size() + 1) * lblocks / blocks - 1);
+  const auto le = entries.first(mid);
+  const auto re = entries.subspan(mid + 1);
+  if (should_fork(budget, batch_work(le.size(), 0),
+                  batch_work(re.size(), 0))) {
     const int lb = budget / 2;
     const int rb = budget - lb;
     auto [l, r] = exec::invoke2(
-        [e = entries.first(mid), lb] {
-          return build_sorted_rec<K, V, A>(e, lb);
+        [le, lblocks, lb] {
+          return build_sorted_rec<K, V, A>(le, lblocks, lb);
         },
-        [e = entries.subspan(mid + 1), rb] {
-          return build_sorted_rec<K, V, A>(e, rb);
+        [re, rblocks, rb] {
+          return build_sorted_rec<K, V, A>(re, rblocks, rb);
         });
     return make_node<K, V, A>(entries[mid].first, entries[mid].second, l, r);
   }
-  return make_node<K, V, A>(
-      entries[mid].first, entries[mid].second,
-      build_sorted_rec<K, V, A>(entries.first(mid), budget),
-      build_sorted_rec<K, V, A>(entries.subspan(mid + 1), budget));
+  return make_node<K, V, A>(entries[mid].first, entries[mid].second,
+                            build_sorted_rec<K, V, A>(le, lblocks, budget),
+                            build_sorted_rec<K, V, A>(re, rblocks, budget));
+}
+
+// Merges the sorted entries of block `b` and `batch` in key order, the
+// batch winning on equal keys, calling emit(key, value) for each result.
+template <class K, class V, class A, class F>
+void merge_entries(const Block<K, V, A>* b,
+                   std::span<const std::pair<K, V>> batch, F&& emit) {
+  const std::uint32_t n = b->size();
+  std::uint32_t i = 0;
+  for (const auto& [bk, bv] : batch) {
+    while (i < n && b->keys[i] < bk) {
+      emit(b->keys[i], b->vals[i]);
+      ++i;
+    }
+    if (i < n && !(bk < b->keys[i])) ++i;  // overwritten
+    emit(bk, bv);
+  }
+  for (; i < n; ++i) emit(b->keys[i], b->vals[i]);
+}
+
+// The block fast path of multi_insert and insert: merges a sorted batch
+// into block `b` as one block copy, or — when the result overflows a block
+// — builds the merged run into a small subtree (two half-blocks under one
+// Inner for a slice of a few keys). Consumes `b`.
+template <class K, class V, class A>
+Node<K, V, A>* merge_block(Block<K, V, A>* b,
+                           std::span<const std::pair<K, V>> batch,
+                           int budget) {
+  std::size_t n = 0;
+  merge_entries(b, batch, [&n](const K&, const V&) { ++n; });
+  Node<K, V, A>* out;
+  if (n <= kLeaf) {
+    Block<K, V, A>* nb = NodeAlloc::create<Block<K, V, A>>();
+    std::uint32_t i = 0;
+    merge_entries(b, batch, [nb, &i](const K& k, const V& v) {
+      nb->keys[i] = k;
+      nb->vals[i] = v;
+      ++i;
+    });
+    nb->seal(i);
+    out = nb;
+  } else {
+    std::vector<std::pair<K, V>> merged;
+    merged.reserve(n);
+    merge_entries(b, batch, [&merged](const K& k, const V& v) {
+      merged.emplace_back(k, v);
+    });
+    out = build_sorted_rec<K, V, A>(std::span<const std::pair<K, V>>(merged),
+                                    blocks_for(n), budget);
+  }
+  drop(b);
+  return out;
 }
 
 // Recursive core of multi_insert: descends `t` with the sorted batch,
 // handing each child the slice of keys that belongs under it, and rebuilds
-// with join. Where a slice runs down to a single key, that key is split
+// with join. A slice that reaches a block merges into one block copy. Where
+// a slice runs down to a single key above the blocks, that key is split
 // out of the subtree and joined back as its root — the shape a union with
 // it would leave — so a written key ends up nearly as shallow as after a
 // union. Zipf-hot keys, written almost every batch, thus stay near the
@@ -554,7 +851,10 @@ Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
                                 std::span<const std::pair<K, V>> batch,
                                 int budget) {
   if (batch.empty()) return t;
-  if (t == nullptr) return build_sorted_rec<K, V, A>(batch, budget);
+  if (t == nullptr) {
+    return build_sorted_rec<K, V, A>(batch, blocks_for(batch.size()), budget);
+  }
+  if (t->is_block()) return merge_block(t->block(), batch, budget);
   if (batch.size() == 1) {
     const auto& [bk, bv] = batch.front();
     SplitResult<K, V, A> s = split(t, bk);
@@ -587,6 +887,25 @@ Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
 
 }  // namespace detail
 
+// Path-copying insert-or-replace. Consumes `t`; returns the new version's
+// root. O(log n) new nodes; everything off the search path is shared.
+template <class K, class V, class A>
+Node<K, V, A>* insert(Node<K, V, A>* t, const K& k, const V& v) {
+  if (t == nullptr) return make_node<K, V, A>(k, v, nullptr, nullptr);
+  if (t->is_block()) {
+    const std::pair<K, V> e(k, v);
+    return detail::merge_block(t->block(),
+                               std::span<const std::pair<K, V>>(&e, 1), 1);
+  }
+  Node<K, V, A>*l, *r;
+  K tk;
+  V tv;
+  expose(t, &l, &r, &tk, &tv);
+  if (k < tk) return balance_node(insert(l, k, v), tk, tv, r);
+  if (tk < k) return balance_node(l, tk, tv, insert(r, k, v));
+  return make_node(k, v, l, r);
+}
+
 // Union of two versions; on duplicate keys the entry from `b` wins (so
 // unioning a delta over a corpus applies the delta). Consumes both.
 // O(m log(n/m + 1)) work for |b| = m <= n = |a| — the join-tree bound.
@@ -600,13 +919,16 @@ Node<K, V, A>* union_(Node<K, V, A>* a, Node<K, V, A>* b, int threads = 0) {
   return detail::union_rec(a, b, budget);
 }
 
-// Builds a perfectly balanced tree over strictly increasing entries. O(n)
-// work, forked across `threads` workers (0 = config().threads).
+// Builds a balanced tree over strictly increasing entries, packed into as
+// few leaf blocks as hold them. O(n) work, forked across `threads` workers
+// (0 = config().threads).
 template <class K, class V, class A>
 Node<K, V, A>* build_sorted(std::span<const std::pair<K, V>> entries,
                             int threads = 0) {
-  const int budget = detail::bulk_budget(threads, entries.size());
-  return detail::build_sorted_rec<K, V, A>(entries, budget);
+  const int budget =
+      detail::bulk_budget(threads, batch_work(entries.size(), 0));
+  return detail::build_sorted_rec<K, V, A>(entries,
+                                           blocks_for(entries.size()), budget);
 }
 
 // Sorts a batch by key and keeps only the last entry per key, the form
@@ -653,12 +975,18 @@ Node<K, V, A>* multi_insert(Node<K, V, A>* t,
 template <class K, class V, class A>
 const V* find(const Node<K, V, A>* t, const K& k) {
   while (t != nullptr) {
-    if (k < t->key) {
-      t = t->left;
-    } else if (t->key < k) {
-      t = t->right;
+    if (t->is_block()) {
+      const Block<K, V, A>* b = t->block();
+      const std::uint32_t i = b->lower(k);
+      return i < b->size() && !(k < b->keys[i]) ? &b->vals[i] : nullptr;
+    }
+    const Inner<K, V, A>* in = t->inner();
+    if (k < in->key) {
+      t = in->left;
+    } else if (in->key < k) {
+      t = in->right;
     } else {
-      return &t->val;
+      return &in->val;
     }
   }
   return nullptr;
@@ -668,18 +996,23 @@ const V* find(const Node<K, V, A>* t, const K& k) {
 template <class K, class V, class A>
 typename A::T aug_ge(const Node<K, V, A>* t, const K& lo) {
   if (t == nullptr) return A::zero();
-  if (t->key < lo) return aug_ge(t->right, lo);
-  return A::combine(aug_ge(t->left, lo), A::leaf(t->key, t->val),
-                    aug_of(t->right));
+  if (t->is_block()) return t->block()->fold(t->block()->lower(lo),
+                                             t->block()->size());
+  const Inner<K, V, A>* in = t->inner();
+  if (in->key < lo) return aug_ge(in->right, lo);
+  return A::combine(aug_ge(in->left, lo), A::leaf(in->key, in->val),
+                    aug_of(in->right));
 }
 
 // Aggregate over keys <= hi within `t`.
 template <class K, class V, class A>
 typename A::T aug_le(const Node<K, V, A>* t, const K& hi) {
   if (t == nullptr) return A::zero();
-  if (hi < t->key) return aug_le(t->left, hi);
-  return A::combine(aug_of(t->left), A::leaf(t->key, t->val),
-                    aug_le(t->right, hi));
+  if (t->is_block()) return t->block()->fold(0, t->block()->upper(hi));
+  const Inner<K, V, A>* in = t->inner();
+  if (hi < in->key) return aug_le(in->left, hi);
+  return A::combine(aug_of(in->left), A::leaf(in->key, in->val),
+                    aug_le(in->right, hi));
 }
 
 // Aggregate over keys in [lo, hi]; the empty range yields A::zero(). Reads
@@ -687,19 +1020,30 @@ typename A::T aug_le(const Node<K, V, A>* t, const K& hi) {
 template <class K, class V, class A>
 typename A::T aug_range(const Node<K, V, A>* t, const K& lo, const K& hi) {
   if (t == nullptr) return A::zero();
-  if (t->key < lo) return aug_range(t->right, lo, hi);
-  if (hi < t->key) return aug_range(t->left, lo, hi);
-  return A::combine(aug_ge(t->left, lo), A::leaf(t->key, t->val),
-                    aug_le(t->right, hi));
+  if (t->is_block()) {
+    const Block<K, V, A>* b = t->block();
+    return b->fold(b->lower(lo), b->upper(hi));
+  }
+  const Inner<K, V, A>* in = t->inner();
+  if (in->key < lo) return aug_range(in->right, lo, hi);
+  if (hi < in->key) return aug_range(in->left, lo, hi);
+  return A::combine(aug_ge(in->left, lo), A::leaf(in->key, in->val),
+                    aug_le(in->right, hi));
 }
 
 // In-order traversal: f(key, value) for every entry.
 template <class K, class V, class A, class F>
 void for_each(const Node<K, V, A>* t, F&& f) {
   if (t == nullptr) return;
-  for_each(t->left, f);
-  f(t->key, t->val);
-  for_each(t->right, f);
+  if (t->is_block()) {
+    const Block<K, V, A>* b = t->block();
+    for (std::uint32_t i = 0; i < b->size(); ++i) f(b->keys[i], b->vals[i]);
+    return;
+  }
+  const Inner<K, V, A>* in = t->inner();
+  for_each(in->left, f);
+  f(in->key, in->val);
+  for_each(in->right, f);
 }
 
 // In-order traversal with early exit: f(key, value) returns false to stop.
@@ -708,9 +1052,17 @@ void for_each(const Node<K, V, A>* t, F&& f) {
 template <class K, class V, class A, class F>
 bool for_each_while(const Node<K, V, A>* t, F&& f) {
   if (t == nullptr) return true;
-  if (!for_each_while(t->left, f)) return false;
-  if (!f(t->key, t->val)) return false;
-  return for_each_while(t->right, f);
+  if (t->is_block()) {
+    const Block<K, V, A>* b = t->block();
+    for (std::uint32_t i = 0; i < b->size(); ++i) {
+      if (!f(b->keys[i], b->vals[i])) return false;
+    }
+    return true;
+  }
+  const Inner<K, V, A>* in = t->inner();
+  if (!for_each_while(in->left, f)) return false;
+  if (!f(in->key, in->val)) return false;
+  return for_each_while(in->right, f);
 }
 
 }  // namespace mvcc::ftree

@@ -264,13 +264,22 @@ TEST(Alloc, LiveNodesReturnToBaselineUnderSlab) {
 
 TEST(Alloc, PackedNodeLayoutIsCompact) {
   // The height-packed layout: height and weight share one word and an
-  // empty augmentation occupies no storage.
-  using Plain = ftree::Node<std::uint64_t, std::uint64_t>;
-  using Summed = ftree::Node<std::uint64_t, std::uint64_t,
-                             ftree::AugSum<std::uint64_t, std::uint64_t>>;
+  // empty augmentation occupies no storage. A leaf block of kLeaf entries
+  // fits one pool size class, with or without a sum aug.
+  using Plain = ftree::Inner<std::uint64_t, std::uint64_t,
+                             ftree::NoAug<std::uint64_t, std::uint64_t>>;
+  using Summed = ftree::Inner<std::uint64_t, std::uint64_t,
+                              ftree::AugSum<std::uint64_t, std::uint64_t>>;
+  using PlainBlock = ftree::Block<std::uint64_t, std::uint64_t,
+                                  ftree::NoAug<std::uint64_t, std::uint64_t>>;
+  using SummedBlock =
+      ftree::Block<std::uint64_t, std::uint64_t,
+                   ftree::AugSum<std::uint64_t, std::uint64_t>>;
   EXPECT_LE(sizeof(Plain), 48u);
   EXPECT_LE(sizeof(Summed), 56u);
   EXPECT_LE(sizeof(Plain), alloc::kMaxBlockBytes);
+  EXPECT_LE(sizeof(PlainBlock), alloc::kMaxBlockBytes);
+  EXPECT_LE(sizeof(SummedBlock), alloc::kMaxBlockBytes);
 }
 
 TEST(AllocConfig, FromEnvParsesAllocKnobs) {

@@ -10,11 +10,13 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "mvcc/common/rng.h"
 #include "mvcc/exec/pool.h"
+#include "mvcc/ftree/fmap.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/obs/obs.h"
 
@@ -23,28 +25,55 @@ namespace {
 using namespace mvcc;
 using N = ftree::Node<std::uint64_t, std::uint64_t>;
 
-// Recursively validates order, AVL balance, cached height/weight, and that
-// every reachable node is referenced. Returns the height.
-int check_invariants(const N* t, const std::uint64_t* lo,
-                     const std::uint64_t* hi) {
+// Recursively validates order, AVL balance, cached height/weight/aug, the
+// block layout (a block holds 1..kLeaf sorted entries at height 1, and an
+// Inner more than kLeaf entries), and that every reachable node is
+// referenced. Returns the height.
+template <class A>
+int check_invariants(const ftree::Node<std::uint64_t, std::uint64_t, A>* t,
+                     const std::uint64_t* lo, const std::uint64_t* hi) {
   if (t == nullptr) return 0;
   EXPECT_GE(t->refs.load(), 1u);
-  if (lo != nullptr) {
-    EXPECT_LT(*lo, t->key);
+  auto expect_in_range = [lo, hi](std::uint64_t k) {
+    if (lo != nullptr) {
+      EXPECT_LT(*lo, k);
+    }
+    if (hi != nullptr) {
+      EXPECT_LT(k, *hi);
+    }
+  };
+  if constexpr (!std::is_empty_v<typename A::T>) {
+    std::uint64_t sum = 0;
+    ftree::for_each(t, [&sum](std::uint64_t, std::uint64_t v) { sum += v; });
+    EXPECT_EQ(t->aug, sum);
   }
-  if (hi != nullptr) {
-    EXPECT_LT(t->key, *hi);
+  if (t->is_block()) {
+    const auto* b = t->block();
+    EXPECT_GE(b->size(), 1u);
+    EXPECT_LE(b->size(), ftree::kLeaf);
+    for (std::uint32_t i = 0; i < b->size(); ++i) {
+      expect_in_range(b->keys[i]);
+      if (i > 0) {
+        EXPECT_LT(b->keys[i - 1], b->keys[i]);
+      }
+    }
+    return 1;
   }
-  const int hl = check_invariants(t->left, lo, &t->key);
-  const int hr = check_invariants(t->right, &t->key, hi);
-  EXPECT_LE(std::abs(hl - hr), 1) << "AVL violation at key " << t->key;
+  const auto* in = t->inner();
+  expect_in_range(in->key);
+  EXPECT_GT(t->weight(), ftree::kLeaf) << "Inner small enough to be a block";
+  const int hl = check_invariants(in->left, lo, &in->key);
+  const int hr = check_invariants(in->right, &in->key, hi);
+  EXPECT_LE(std::abs(hl - hr), 1) << "AVL violation at key " << in->key;
   EXPECT_EQ(t->height(), static_cast<std::uint32_t>(1 + std::max(hl, hr)));
   EXPECT_EQ(t->weight(),
-            1 + ftree::weight_of(t->left) + ftree::weight_of(t->right));
+            1 + ftree::weight_of(in->left) + ftree::weight_of(in->right));
   return 1 + std::max(hl, hr);
 }
 
-void expect_matches(const N* t, const std::map<std::uint64_t, std::uint64_t>& want) {
+template <class A>
+void expect_matches(const ftree::Node<std::uint64_t, std::uint64_t, A>* t,
+                    const std::map<std::uint64_t, std::uint64_t>& want) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
   ftree::for_each(t, [&got](std::uint64_t k, std::uint64_t v) {
     got.emplace_back(k, v);
@@ -59,10 +88,16 @@ void expect_matches(const N* t, const std::map<std::uint64_t, std::uint64_t>& wa
 }
 
 // AVL height bound: h <= 1.4405 log2(n + 2).
-void expect_balanced(const N* t) {
+template <class A>
+void expect_balanced(const ftree::Node<std::uint64_t, std::uint64_t, A>* t) {
   const int h = check_invariants(t, nullptr, nullptr);
   const double n = static_cast<double>(ftree::weight_of(t));
   EXPECT_LE(h, 1.4405 * std::log2(n + 2.0) + 1.0);
+}
+
+// Distinct nodes reachable from the given roots (the GC oracle).
+std::size_t reachable(const std::vector<const N*>& roots) {
+  return ftree::reachable_nodes(roots);
 }
 
 TEST(Ftree, InsertFindBasic) {
@@ -75,7 +110,9 @@ TEST(Ftree, InsertFindBasic) {
     EXPECT_EQ(*v, i);
     EXPECT_EQ(ftree::find(t, i * 2 + 1), nullptr);
   }
-  EXPECT_EQ(ftree::collect(t), 100u);
+  const std::size_t nodes = reachable({t});
+  EXPECT_EQ(ftree::live_nodes() - base_live, static_cast<long long>(nodes));
+  EXPECT_EQ(ftree::collect(t), nodes);
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
@@ -103,7 +140,9 @@ TEST(Ftree, BalancedAfterRandomInserts) {
   }
   expect_balanced(t);
   expect_matches(t, want);
-  EXPECT_EQ(ftree::collect(t), want.size());
+  const std::size_t nodes = reachable({t});
+  EXPECT_LE(nodes, want.size());
+  EXPECT_EQ(ftree::collect(t), nodes);
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
@@ -244,8 +283,8 @@ N* make_random_tree(Xoshiro256& rng, int n, std::uint64_t key_space,
 void expect_multi_insert_matches(
     N* t, std::vector<std::pair<std::uint64_t, std::uint64_t>> batch,
     int threads) {
-  const long long live_before = ftree::live_nodes() -
-                                static_cast<long long>(ftree::weight_of(t));
+  const long long live_before =
+      ftree::live_nodes() - static_cast<long long>(reachable({t}));
   std::map<std::uint64_t, std::uint64_t> want;
   ftree::for_each(t,
                   [&want](std::uint64_t k, std::uint64_t v) { want[k] = v; });
@@ -256,7 +295,9 @@ void expect_multi_insert_matches(
       threads);
   expect_balanced(u);
   expect_matches(u, want);
-  EXPECT_EQ(ftree::collect(u), want.size());
+  const std::size_t nodes = reachable({u});
+  EXPECT_EQ(ftree::live_nodes() - live_before, static_cast<long long>(nodes));
+  EXPECT_EQ(ftree::collect(u), nodes);
   EXPECT_EQ(ftree::live_nodes(), live_before);
 }
 
@@ -319,13 +360,16 @@ TEST(Ftree, MultiInsertMatchesLoop) {
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
-// Depth of `k` in `t`, counting the root as 1; 0 when absent.
+// Depth of `k` in `t`, counting the root as 1 and a block as one level;
+// 0 when absent.
 int depth_of(const N* t, std::uint64_t k) {
   for (int d = 1; t != nullptr; ++d) {
-    if (k < t->key) {
-      t = t->left;
-    } else if (t->key < k) {
-      t = t->right;
+    if (t->is_block()) return ftree::find(t, k) != nullptr ? d : 0;
+    const auto* in = t->inner();
+    if (k < in->key) {
+      t = in->left;
+    } else if (in->key < k) {
+      t = in->right;
     } else {
       return d;
     }
@@ -338,9 +382,9 @@ TEST(Ftree, MultiInsertPutsWrittenKeysNearTheRoot) {
   // that key out and joins it back as the subtree's root, so written keys
   // end up shallow, close to where a union would leave them. Zipf-hot keys
   // are written almost every batch, and this is what keeps their reads
-  // short. Mean depth for this batch: 9.1 here, 5.8 for a union of a batch
-  // tree, 15.3 for a descent that rewrites values in place; the tree's
-  // height is 17.
+  // short. Mean depth for this batch, a leaf block counting as one level:
+  // 9.1 here, 6.0 for a union of a batch tree, 12.0 for a descent that
+  // rewrites values in their blocks; the tree's height is 13.
   const long long base_live = ftree::live_nodes();
   {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
@@ -369,7 +413,7 @@ TEST(Ftree, MultiInsertPutsWrittenKeysNearTheRoot) {
 }
 
 TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
-  // 64 keys into a 2^17-key version is about 770 estimated copies, below
+  // 64 keys into a 2^17-key version is about 640 estimated copies, below
   // the two fork_work() (1024 at the default grain) a first fork needs, so
   // it must not fork; a batch of 2^14 keys is far above and must.
   // exec/tasks counts every fork the pool runs.
@@ -412,12 +456,20 @@ TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
 void expect_identical(const N* x, const N* y) {
   ASSERT_EQ(x == nullptr, y == nullptr);
   if (x == nullptr) return;
-  EXPECT_EQ(x->key, y->key);
-  EXPECT_EQ(x->val, y->val);
   EXPECT_EQ(x->height(), y->height());
   EXPECT_EQ(x->weight(), y->weight());
-  expect_identical(x->left, y->left);
-  expect_identical(x->right, y->right);
+  ASSERT_EQ(x->is_block(), y->is_block());
+  if (x->is_block()) {
+    for (std::uint32_t i = 0; i < x->block()->size(); ++i) {
+      EXPECT_EQ(x->block()->keys[i], y->block()->keys[i]);
+      EXPECT_EQ(x->block()->vals[i], y->block()->vals[i]);
+    }
+    return;
+  }
+  EXPECT_EQ(x->inner()->key, y->inner()->key);
+  EXPECT_EQ(x->inner()->val, y->inner()->val);
+  expect_identical(x->inner()->left, y->inner()->left);
+  expect_identical(x->inner()->right, y->inner()->right);
 }
 
 TEST(Ftree, ParallelUnionBitIdenticalToSequential) {
@@ -610,6 +662,183 @@ TEST(Ftree, PrepareBatchDuplicateHeavyLastWinsProperty) {
       EXPECT_EQ(v, want[k]) << "key " << k << " lost its last submission";
     }
   }
+}
+
+using SumAug = ftree::AugSum<std::uint64_t, std::uint64_t>;
+using S = ftree::Node<std::uint64_t, std::uint64_t, SumAug>;
+using Model = std::map<std::uint64_t, std::uint64_t>;
+using Batch = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+using BatchSpan = std::span<const std::pair<std::uint64_t, std::uint64_t>>;
+
+// Checks a summed tree against its model: the block layout, AVL balance,
+// every subtree's aug against a brute-force sum, the contents, and
+// aug_range over random ranges, whose ends fall inside blocks.
+void expect_sum_tree(const S* t, const Model& want, Xoshiro256& rng,
+                     std::uint64_t key_space) {
+  expect_balanced(t);
+  expect_matches(t, want);
+  for (int q = 0; q < 20; ++q) {
+    const std::uint64_t lo = rng.next_below(key_space);
+    const std::uint64_t hi = lo + rng.next_below(key_space / 8);
+    std::uint64_t sum = 0;
+    for (auto it = want.lower_bound(lo); it != want.end() && it->first <= hi;
+         ++it) {
+      sum += it->second;
+    }
+    EXPECT_EQ(ftree::aug_range(t, lo, hi), sum) << "[" << lo << ", " << hi
+                                                << "]";
+  }
+}
+
+TEST(Ftree, BlockedLayoutHoldsUnderEveryUpdate) {
+  // Random rounds of every update — multi_insert and union_ at 1 and 4
+  // workers, split + join, insert, build_sorted — against a std::map
+  // model. Each round keeps the previous version alive across the update,
+  // checks both (the old one must be untouched), then drops the old one:
+  // the exact-reachability oracle says the live nodes are exactly those
+  // reachable from the versions held, and the drop frees exactly the old
+  // version's nodes that the new one does not share.
+  const long long base_live = ftree::live_nodes();
+  {
+    constexpr std::uint64_t kSpace = 6000;
+    Xoshiro256 rng(53);
+    auto random_batch = [&rng](std::uint64_t n) {
+      Batch b;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        b.emplace_back(rng.next_below(kSpace), rng.next_below(1000));
+      }
+      ftree::prepare_batch(b);
+      return b;
+    };
+    const Batch init = random_batch(2000);
+    S* t = ftree::build_sorted<std::uint64_t, std::uint64_t, SumAug>(
+        BatchSpan(init), 1);
+    Model want(init.begin(), init.end());
+    expect_sum_tree(t, want, rng, kSpace);
+    for (int round = 0; round < 80; ++round) {
+      S* prev = ftree::share(t);
+      const Model prev_want = want;
+      const int threads = (round / 5) % 2 != 0 ? 4 : 1;
+      switch (round % 5) {
+        case 0: {
+          const Batch b =
+              random_batch(1 + rng.next_below(round % 2 != 0 ? 400 : 24));
+          t = ftree::multi_insert(t, BatchSpan(b), threads);
+          for (const auto& [k, v] : b) want[k] = v;
+          break;
+        }
+        case 1: {
+          const Batch b = random_batch(1 + rng.next_below(300));
+          t = ftree::union_(
+              t,
+              ftree::build_sorted<std::uint64_t, std::uint64_t, SumAug>(
+                  BatchSpan(b), 1),
+              threads);
+          for (const auto& [k, v] : b) want[k] = v;
+          break;
+        }
+        case 2: {
+          const std::uint64_t k = rng.next_below(kSpace);
+          const std::uint64_t v = rng.next_below(1000);
+          auto s = ftree::split(t, k);
+          EXPECT_EQ(s.found, want.count(k) == 1);
+          if (s.found) {
+            EXPECT_EQ(s.value, want[k]);
+          }
+          check_invariants(s.left, nullptr, &k);
+          check_invariants(s.right, &k, nullptr);
+          t = ftree::join(s.left, k, v, s.right);
+          want[k] = v;
+          break;
+        }
+        case 3:
+          for (int i = 0; i < 30; ++i) {
+            const std::uint64_t k = rng.next_below(kSpace);
+            const std::uint64_t v = rng.next_below(1000);
+            t = ftree::insert(t, k, v);
+            want[k] = v;
+          }
+          break;
+        default: {
+          const Batch all(want.begin(), want.end());
+          ftree::collect(t);
+          t = ftree::build_sorted<std::uint64_t, std::uint64_t, SumAug>(
+              BatchSpan(all), threads);
+          break;
+        }
+      }
+      expect_sum_tree(t, want, rng, kSpace);
+      expect_sum_tree(prev, prev_want, rng, kSpace);
+      const std::size_t both =
+          ftree::reachable_nodes(std::vector<const S*>{prev, t});
+      const std::size_t survivors =
+          ftree::reachable_nodes(std::vector<const S*>{t});
+      EXPECT_EQ(ftree::live_nodes() - base_live,
+                static_cast<long long>(both));
+      EXPECT_EQ(ftree::collect(prev), both - survivors);
+      EXPECT_EQ(ftree::live_nodes() - base_live,
+                static_cast<long long>(survivors));
+    }
+    ftree::collect(t);
+  }
+  EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
+TEST(Ftree, NestedMapPayloadsFreeExactly) {
+  // Values that own trees, as the inverted index's posting lists do:
+  // dropping an outer version reenters collect through ~V, and the freed
+  // set must still be exact across both levels.
+  using Inner = ftree::FMap<std::uint64_t, std::uint64_t>;
+  using Outer = ftree::FMap<std::uint64_t, Inner>;
+  const long long base_live = ftree::live_nodes();
+  {
+    Xoshiro256 rng(59);
+    Inner proto;
+    for (std::uint64_t j = 0; j < 64; ++j) proto = proto.inserted(j, j);
+    // Nodes reachable from the outer versions, their posting lists and the
+    // prototype the lists share.
+    auto reachable_all = [&proto](const std::vector<const Outer*>& vs) {
+      std::vector<const ftree::Node<std::uint64_t, Inner>*> outer;
+      std::vector<const N*> inner{proto.root()};
+      for (const Outer* v : vs) {
+        outer.push_back(v->root());
+        v->for_each([&inner](std::uint64_t, const Inner& m) {
+          inner.push_back(m.root());
+        });
+      }
+      return ftree::reachable_nodes(outer) + ftree::reachable_nodes(inner);
+    };
+    std::vector<Outer> versions(1);
+    for (int round = 0; round < 40; ++round) {
+      {
+        std::vector<std::pair<std::uint64_t, Inner>> batch;
+        for (int i = 0; i < 24; ++i) {
+          const std::uint64_t k = rng.next_below(300);
+          batch.emplace_back(k, proto.inserted(1000 + rng.next_below(64), k));
+        }
+        ftree::prepare_batch(batch);
+        versions.push_back(versions.back().multi_inserted(
+            std::span<const std::pair<std::uint64_t, Inner>>(batch),
+            round % 2 != 0 ? 4 : 1));
+      }
+      std::vector<const Outer*> all;
+      for (const Outer& v : versions) all.push_back(&v);
+      EXPECT_EQ(ftree::live_nodes() - base_live,
+                static_cast<long long>(reachable_all(all)));
+      if (round % 3 == 2) {
+        const std::size_t victim = rng.next_below(versions.size() - 1);
+        std::vector<const Outer*> rest = all;
+        rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(victim));
+        const std::size_t expect = reachable_all(all) - reachable_all(rest);
+        const long long before = ftree::live_nodes();
+        versions[victim] = Outer();
+        EXPECT_EQ(before - ftree::live_nodes(),
+                  static_cast<long long>(expect));
+        versions.erase(versions.begin() + static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+  }
+  EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
 }  // namespace

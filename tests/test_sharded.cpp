@@ -24,6 +24,7 @@
 #include "mvcc/vm/pslf.h"
 #include "mvcc/vm/pswf.h"
 #include "mvcc/workload/ycsb.h"
+#include "gc_oracle.h"
 
 namespace {
 
@@ -297,17 +298,39 @@ TEST(ShardedStress, SnapshotsNeverObserveTornMultiShardCommits) {
     }
     for (auto& t : threads) t.join();
     map.flush_all();
-    auto snap = map.snapshot(0);
-    for (const auto& row : rows) {
-      for (std::uint64_t k : row) {
-        ASSERT_NE(snap.find(k), nullptr);
-        EXPECT_EQ(*snap.find(k), kRounds);
+    {
+      auto snap = map.snapshot(0);
+      for (const auto& row : rows) {
+        for (std::uint64_t k : row) {
+          ASSERT_NE(snap.find(k), nullptr);
+          EXPECT_EQ(*snap.find(k), kRounds);
+        }
       }
     }
     // The protocol ran: snapshots were taken; retries are workload-
     // dependent (possibly zero) but the counter must be readable.
     EXPECT_GT(map.snapshots_taken(), 0u);
     (void)map.snapshot_retries();
+    // Quiescent: the reachability oracle over every shard's version.
+    alloc::reclaim_quiesce();
+    gc_oracle::expect_exact_collect(
+        base_live, [&map] { return map.snapshot(0); },
+        [](const PswfSharded::Snapshot& s) {
+          std::vector<decltype(s.shard_map(0).root())> roots;
+          for (std::size_t i = 0; i < s.shards(); ++i) {
+            roots.push_back(s.shard_map(i).root());
+          }
+          return roots;
+        },
+        [&map, &rows] {
+          for (const auto& row : rows) {
+            std::vector<Entry> ops;
+            for (std::uint64_t k : row) ops.emplace_back(k, kRounds + 1);
+            map.multi_upsert_sync(0, ops);
+          }
+          map.flush_all();
+          alloc::reclaim_quiesce();
+        });
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
