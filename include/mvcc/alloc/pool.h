@@ -82,7 +82,7 @@ namespace mvcc::alloc {
 
 // Size classes are multiples of 16 bytes up to 512; every node/tuple/map
 // payload in the system fits (a u64 -> u64 tree Inner is 48 bytes, its
-// leaf Block 496). Larger requests take the operator-new fallback in the
+// leaf Block 504). Larger requests take the operator-new fallback in the
 // routing layer below.
 inline constexpr std::size_t kQuantum = 16;
 inline constexpr std::size_t kNumClasses = 32;

@@ -104,15 +104,18 @@ void reclaim_batch(std::vector<T*> dead, ReclaimLane lane,
 
 // Disposes of the versions a commit retired. `work` estimates the nodes
 // the commit copied, which is about what freeing its retired version
-// visits. From 4 * config().grain (8192 at the default grain) the set goes
-// to the background lane: the repository benchmark's write-stream commits
-// (~15.7k nodes freed each) are faster that way, its snapshot-read commits
-// (~1.0k) faster inline. Read on every call, so tests can move the
-// threshold through config().grain.
+// visits. From 2 * config().grain (4096 at the default grain) the set goes
+// to the background lane: on the repository benchmark that takes
+// write-stream's commits of about 500 ops and up (~7k nodes freed per
+// commit on average), which were faster there with the per-key node
+// layout and measured no slower with leaf blocks, and leaves its
+// snapshot-read commits (~0.7k nodes) inline, which is faster for them.
+// Read on every call, so tests can move the threshold through
+// config().grain.
 template <class T, class Dispose = DeleteDispose>
 void reclaim_retired(std::vector<T*> dead, std::uint64_t work,
                      Dispose dispose = {}) {
-  const bool large = work >= 4 * static_cast<std::uint64_t>(config().grain);
+  const bool large = work >= 2 * static_cast<std::uint64_t>(config().grain);
   reclaim_batch(std::move(dead),
                 large ? ReclaimLane::kBackground : ReclaimLane::kInline,
                 dispose);

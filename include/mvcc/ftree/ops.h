@@ -12,7 +12,12 @@
 // operations (union / multi_insert) compose with point updates.
 // `multi_insert` applies a sorted batch PAM-style, by descending the tree
 // with it: the version is split only where the batch runs out, not once
-// per batch key.
+// per batch key, and only for hot keys. A key is hot if it is an Inner
+// entry or the previous multi_insert wrote it (a per-block stamp and
+// written-slot mask record that); a hot key that a slice of the batch runs
+// down to is split out and joined back as the slice's root, which keeps
+// Zipf-hot keys near the root. Every other key is rewritten inside its
+// block, so uniform writes keep blocks whole.
 //
 // Leaves are blocks (the PaC-tree layout): a Block is one allocation
 // holding a sorted run of up to kLeaf entries, with its own count, weight
@@ -149,12 +154,17 @@ struct Block;
 // nodes — under 57 bits of weight). An empty augmentation occupies no
 // storage via [[no_unique_address]]. Height 1 is exactly a Block: every
 // Inner holds more than kLeaf entries, so it has a child and height >= 2.
+// `stamp` sits in the padding after `refs`: the multi_insert sequence
+// number that wrote a block, and on a root the one that produced the
+// version (0: not written by multi_insert). It is set only on nodes the
+// writer still holds alone and never changes what a tree holds.
 template <class K, class V, class A = NoAug<K, V>>
 struct Node {
   static constexpr std::uint32_t kHeightBits = 7;
   static constexpr std::uint64_t kHeightMask = (1u << kHeightBits) - 1;
 
   std::atomic<std::uint32_t> refs{1};
+  std::uint32_t stamp = 0;
   [[no_unique_address]] typename A::T aug;
   std::uint64_t hw;  // weight << kHeightBits | height
 
@@ -213,10 +223,15 @@ struct Inner : Node<K, V, A> {
 
 // A sorted run of 1..kLeaf entries, keys and values in separate arrays so
 // a search reads only keys. Slots at or past size() hold default values.
+// Bit i of `written` says slot i was written by multi_insert `stamp` (see
+// detail::is_hot); it fills the tail of the block's pool size class.
 template <class K, class V, class A>
 struct Block : Node<K, V, A> {
+  static_assert(kLeaf <= 32, "Block::written has one bit per slot");
+
   K keys[kLeaf];
   V vals[kLeaf];
+  std::uint32_t written = 0;
 
   Block() : Node<K, V, A>(A::zero(), 0, 1) {}
 
@@ -461,6 +476,7 @@ Node<K, V, A>* pack(Node<K, V, A>* l, const K& k, const V& v,
   if (l != nullptr && unique(l)) {
     out = l->block();
     n = out->size();
+    out->written &= (std::uint32_t{1} << n) - 1;  // n < kLeaf; see Block
   } else {
     out = NodeAlloc::create<Block<K, V, A>>();
     if (l != nullptr) {
@@ -607,22 +623,23 @@ inline std::uint64_t blocks_for(std::uint64_t n) {
   return (n + kLeaf + 1) / (kLeaf + 1);
 }
 
-// Per-key copies below a key's path, in Inner copies: its block copy
-// (about 1.3 Inner copies, measured cold on a 2^21-key u64 map) and about
-// two Inners that the single-key finish's split and join add.
-inline constexpr std::uint64_t kLeafWork = 3;
+// A key's block copy in Inner copies: about 1.3, measured cold on a
+// 2^21-key u64 map.
+inline constexpr std::uint64_t kLeafWork = 1;
 
 // Estimated node copies, in Inner copies, for applying m sorted keys to a
-// tree of height h: the m root-to-leaf paths share their top ~log2(m)
-// levels, so each key copies about h - bit_width(m) Inners plus kLeafWork
-// (12.3 nodes per key measured at h = 20, m = 900; 14.1 at h = 18,
+// tree of height h. The m root-to-block paths share their top ~log2(m)
+// levels, and h counts the block level and the deepest path, about one
+// level below the mean, so each key copies about h - bit_width(m) - 2
+// Inners plus its block (BM_TreeCommitStages, per key: 7.5 nodes measured
+// against 8 estimated at h = 19, m = 900; 8.4 against 9 at h = 17,
 // m = 120). Into an empty tree it is the cost of building the batch, a
 // block and a separator per block. Freeing the retired version visits
 // about as many nodes, so commit sizing uses it too.
 inline std::uint64_t batch_work(std::uint64_t m, std::uint32_t h) {
-  if (h == 0) return blocks_for(m) * kLeafWork;
-  const std::uint64_t shared = static_cast<std::uint64_t>(std::bit_width(m));
-  return m * ((h > shared ? h - shared : 0) + kLeafWork);
+  if (h == 0) return blocks_for(m) * (kLeafWork + 1);
+  const auto skip = static_cast<std::uint64_t>(std::bit_width(m)) + 2;
+  return m * ((h > skip ? h - skip : 0) + kLeafWork);
 }
 
 // Joins l < k < r into one AVL tree, for arbitrary height difference.
@@ -784,7 +801,8 @@ Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
 }
 
 // Merges the sorted entries of block `b` and `batch` in key order, the
-// batch winning on equal keys, calling emit(key, value) for each result.
+// batch winning on equal keys, calling emit(key, value, from_batch) for
+// each result.
 template <class K, class V, class A, class F>
 void merge_entries(const Block<K, V, A>* b,
                    std::span<const std::pair<K, V>> batch, F&& emit) {
@@ -792,40 +810,43 @@ void merge_entries(const Block<K, V, A>* b,
   std::uint32_t i = 0;
   for (const auto& [bk, bv] : batch) {
     while (i < n && b->keys[i] < bk) {
-      emit(b->keys[i], b->vals[i]);
+      emit(b->keys[i], b->vals[i], false);
       ++i;
     }
     if (i < n && !(bk < b->keys[i])) ++i;  // overwritten
-    emit(bk, bv);
+    emit(bk, bv, true);
   }
-  for (; i < n; ++i) emit(b->keys[i], b->vals[i]);
+  for (; i < n; ++i) emit(b->keys[i], b->vals[i], false);
 }
 
 // The block fast path of multi_insert and insert: merges a sorted batch
-// into block `b` as one block copy, or — when the result overflows a block
-// — builds the merged run into a small subtree (two half-blocks under one
-// Inner for a slice of a few keys). Consumes `b`.
+// into block `b` as one block copy, stamped `seq` with the batch's slots
+// marked written, or — when the result overflows a block — builds the
+// merged run into a small subtree (two half-blocks under one Inner for a
+// slice of a few keys). Consumes `b`.
 template <class K, class V, class A>
 Node<K, V, A>* merge_block(Block<K, V, A>* b,
                            std::span<const std::pair<K, V>> batch,
-                           int budget) {
+                           int budget, std::uint32_t seq) {
   std::size_t n = 0;
-  merge_entries(b, batch, [&n](const K&, const V&) { ++n; });
+  merge_entries(b, batch, [&n](const K&, const V&, bool) { ++n; });
   Node<K, V, A>* out;
   if (n <= kLeaf) {
     Block<K, V, A>* nb = NodeAlloc::create<Block<K, V, A>>();
     std::uint32_t i = 0;
-    merge_entries(b, batch, [nb, &i](const K& k, const V& v) {
+    merge_entries(b, batch, [nb, &i](const K& k, const V& v, bool mine) {
       nb->keys[i] = k;
       nb->vals[i] = v;
+      nb->written |= std::uint32_t{mine} << i;
       ++i;
     });
     nb->seal(i);
+    nb->stamp = seq;
     out = nb;
   } else {
     std::vector<std::pair<K, V>> merged;
     merged.reserve(n);
-    merge_entries(b, batch, [&merged](const K& k, const V& v) {
+    merge_entries(b, batch, [&merged](const K& k, const V& v, bool) {
       merged.emplace_back(k, v);
     });
     out = build_sorted_rec<K, V, A>(std::span<const std::pair<K, V>>(merged),
@@ -835,28 +856,77 @@ Node<K, V, A>* merge_block(Block<K, V, A>* b,
   return out;
 }
 
-// Recursive core of multi_insert: descends `t` with the sorted batch,
-// handing each child the slice of keys that belongs under it, and rebuilds
-// with join. A slice that reaches a block merges into one block copy. Where
-// a slice runs down to a single key above the blocks, that key is split
-// out of the subtree and joined back as its root — the shape a union with
-// it would leave — so a written key ends up nearly as shallow as after a
-// union. Zipf-hot keys, written almost every batch, thus stay near the
-// root where reads find them fast (a descent that only rewrote values in
-// place would leave them as deep as any other key). The two children and
-// their slices are key-disjoint, so a fork hands each side its own owned
-// references, as in union_rec.
+// Path-copying insert-or-replace of one key, stamping the block it lands
+// in with `seq`: the single-key descent of insert and multi_insert.
+template <class K, class V, class A>
+Node<K, V, A>* insert_rec(Node<K, V, A>* t, const K& k, const V& v,
+                          std::uint32_t seq) {
+  if (t == nullptr) return make_node<K, V, A>(k, v, nullptr, nullptr);
+  if (t->is_block()) {
+    const std::pair<K, V> e(k, v);
+    return merge_block(t->block(), std::span<const std::pair<K, V>>(&e, 1),
+                       1, seq);
+  }
+  Node<K, V, A>*l, *r;
+  K tk;
+  V tv;
+  expose(t, &l, &r, &tk, &tv);
+  if (k < tk) return balance_node(insert_rec(l, k, v, seq), tk, tv, r);
+  if (tk < k) return balance_node(l, tk, tv, insert_rec(r, k, v, seq));
+  return make_node(k, v, l, r);
+}
+
+// Whether `k` is hot in `t` for the multi_insert numbered `seq`: it is an
+// Inner entry, or it sits in a block slot that multi_insert seq - 1, the
+// one that produced the version being replaced, wrote. A read-only walk
+// down k's path.
+template <class K, class V, class A>
+bool is_hot(const Node<K, V, A>* t, const K& k, std::uint32_t seq) {
+  while (t != nullptr) {
+    if (t->is_block()) {
+      const Block<K, V, A>* b = t->block();
+      const std::uint32_t i = b->lower(k);
+      return b->stamp != 0 && b->stamp == seq - 1 && i < b->size() &&
+             !(k < b->keys[i]) && (b->written >> i & 1) != 0;
+    }
+    const Inner<K, V, A>* in = t->inner();
+    if (k < in->key) {
+      t = in->left;
+    } else if (in->key < k) {
+      t = in->right;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Recursive core of multi_insert, the one numbered `seq`: descends `t`
+// with the sorted batch, handing each child the slice of keys that belongs
+// under it, and rebuilds with join. A slice that reaches a block merges
+// into one block copy stamped `seq`. Where a slice runs down to a single
+// key above the blocks, the key is lifted only if it is hot (is_hot): it is
+// split out of the subtree and joined back as its root — the shape a union
+// with it would leave — so a key written in two consecutive batches ends
+// up nearly as shallow as after a union, and stays there while it is
+// written. Zipf-hot keys thus stay near the root where reads find them
+// fast. Any other single key is rewritten inside its block by a plain
+// path copy, which keeps blocks whole under uniform writes: lifting every
+// written key would split its block and copy about two more nodes. The two
+// children and their slices are key-disjoint, so a fork hands each side
+// its own owned references, as in union_rec.
 template <class K, class V, class A>
 Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
                                 std::span<const std::pair<K, V>> batch,
-                                int budget) {
+                                int budget, std::uint32_t seq) {
   if (batch.empty()) return t;
   if (t == nullptr) {
     return build_sorted_rec<K, V, A>(batch, blocks_for(batch.size()), budget);
   }
-  if (t->is_block()) return merge_block(t->block(), batch, budget);
+  if (t->is_block()) return merge_block(t->block(), batch, budget, seq);
   if (batch.size() == 1) {
     const auto& [bk, bv] = batch.front();
+    if (!is_hot(t, bk, seq)) return insert_rec(t, bk, bv, seq);
     SplitResult<K, V, A> s = split(t, bk);
     return join(s.left, bk, bv, s.right);
   }
@@ -877,12 +947,12 @@ Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
     const int lbud = budget / 2;
     const int rbud = budget - lbud;
     auto [nl, nr] = exec::invoke2(
-        [l, lb, lbud] { return multi_insert_rec(l, lb, lbud); },
-        [r, rb, rbud] { return multi_insert_rec(r, rb, rbud); });
+        [l, lb, lbud, seq] { return multi_insert_rec(l, lb, lbud, seq); },
+        [r, rb, rbud, seq] { return multi_insert_rec(r, rb, rbud, seq); });
     return join(nl, k, v, nr);
   }
-  return join(multi_insert_rec(l, lb, budget), k, v,
-              multi_insert_rec(r, rb, budget));
+  return join(multi_insert_rec(l, lb, budget, seq), k, v,
+              multi_insert_rec(r, rb, budget, seq));
 }
 
 }  // namespace detail
@@ -891,19 +961,7 @@ Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
 // root. O(log n) new nodes; everything off the search path is shared.
 template <class K, class V, class A>
 Node<K, V, A>* insert(Node<K, V, A>* t, const K& k, const V& v) {
-  if (t == nullptr) return make_node<K, V, A>(k, v, nullptr, nullptr);
-  if (t->is_block()) {
-    const std::pair<K, V> e(k, v);
-    return detail::merge_block(t->block(),
-                               std::span<const std::pair<K, V>>(&e, 1), 1);
-  }
-  Node<K, V, A>*l, *r;
-  K tk;
-  V tv;
-  expose(t, &l, &r, &tk, &tv);
-  if (k < tk) return balance_node(insert(l, k, v), tk, tv, r);
-  if (tk < k) return balance_node(l, tk, tv, insert(r, k, v));
-  return make_node(k, v, l, r);
+  return detail::insert_rec(t, k, v, 0);
 }
 
 // Union of two versions; on duplicate keys the entry from `b` wins (so
@@ -952,11 +1010,14 @@ void prepare_batch(std::vector<std::pair<K, V>>& batch) {
 
 // Applies a prepared (strictly increasing, see prepare_batch) batch in one
 // bulk operation: one descent of `t` with the batch, splitting the version
-// only where a slice of the batch runs down to one key (see
-// multi_insert_rec). Consumes `t`. O(m log(n/m + 1)) work; forks across
-// `threads` workers (0 = config().threads) only where batch_work says both
-// sides are worth it, so a commit-sized batch into a big version forks at
-// most once. The result is bit-identical for every worker count.
+// only where a slice of the batch runs down to one hot key (see
+// multi_insert_rec). It is numbered one past the stamp of `t`'s root, and
+// the new root carries that number, so the next multi_insert on it knows
+// which keys this one wrote. Consumes `t`. O(m log(n/m + 1)) work; forks
+// across `threads` workers (0 = config().threads) only where batch_work
+// says both sides are worth it, so a commit-sized batch into a big version
+// forks at most once. The result, stamps included, is bit-identical for
+// every worker count.
 template <class K, class V, class A>
 Node<K, V, A>* multi_insert(Node<K, V, A>* t,
                             std::span<const std::pair<K, V>> batch,
@@ -968,7 +1029,13 @@ Node<K, V, A>* multi_insert(Node<K, V, A>* t,
                             }) == batch.end());
   const int budget = detail::bulk_budget(
       threads, batch_work(batch.size(), height_of(t)));
-  return detail::multi_insert_rec(t, batch, budget);
+  const std::uint32_t seq = (t != nullptr ? t->stamp : 0) + 1;
+  Node<K, V, A>* out = detail::multi_insert_rec(t, batch, budget, seq);
+  if (!batch.empty()) {
+    assert(detail::unique(out));
+    out->stamp = seq;  // a new root, not yet visible to any other thread
+  }
+  return out;
 }
 
 // Read-only point lookup; returns null when absent.

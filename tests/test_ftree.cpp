@@ -4,6 +4,7 @@
 // (bit-identical results and exact refcounts at every worker count).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -378,13 +379,16 @@ int depth_of(const N* t, std::uint64_t k) {
 }
 
 TEST(Ftree, MultiInsertPutsWrittenKeysNearTheRoot) {
-  // Where a slice of the batch runs down to one key, multi_insert splits
-  // that key out and joins it back as the subtree's root, so written keys
-  // end up shallow, close to where a union would leave them. Zipf-hot keys
-  // are written almost every batch, and this is what keeps their reads
-  // short. Mean depth for this batch, a leaf block counting as one level:
-  // 9.1 here, 6.0 for a union of a batch tree, 12.0 for a descent that
-  // rewrites values in their blocks; the tree's height is 13.
+  // Where a slice of the batch runs down to one hot key — one the previous
+  // batch wrote, or an Inner entry — multi_insert splits that key out and
+  // joins it back as the subtree's root, so it ends up shallow, close to
+  // where a union would leave it. Zipf-hot keys are written almost every
+  // batch, and this is what keeps their reads short. The same 64 keys are
+  // written in two consecutive batches. Mean depth after the second, a
+  // leaf block counting as one level: 9.1 here, 6.0 for a union of a batch
+  // tree, 12.0 for a descent that rewrites values in their blocks (what the
+  // first batch does to all but the Inner entries); the tree's height
+  // is 13.
   const long long base_live = ftree::live_nodes();
   {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
@@ -398,6 +402,9 @@ TEST(Ftree, MultiInsertPutsWrittenKeysNearTheRoot) {
     ftree::prepare_batch(batch);
     N* u = ftree::multi_insert(
         t, std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch), 1);
+    for (auto& [k, v] : batch) v = 1;
+    u = ftree::multi_insert(
+        u, std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch), 1);
     double total = 0;
     for (const auto& [k, v] : batch) {
       const int d = depth_of(u, k);
@@ -412,8 +419,78 @@ TEST(Ftree, MultiInsertPutsWrittenKeysNearTheRoot) {
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
+// Whether `k` is stored in a leaf block of `t` (not as an Inner entry).
+template <class A>
+bool in_block(const ftree::Node<std::uint64_t, std::uint64_t, A>* t,
+              std::uint64_t k) {
+  while (t != nullptr && !t->is_block()) {
+    const auto* in = t->inner();
+    if (k == in->key) return false;
+    t = k < in->key ? in->left : in->right;
+  }
+  return t != nullptr && ftree::find(t, k) != nullptr;
+}
+
+TEST(Ftree, UniformRewritesKeepBlocksWhole) {
+  // Uniform rewrites are cold: a key is lifted out of its block only when
+  // it is written in two consecutive batches, so uniform batches rewrite
+  // keys inside their blocks and the tree keeps the node count of a fresh
+  // build (lifting every written key split its block, 1.6x the nodes here
+  // after these batches). 2048 batches of 64 rewrite 2^17 keys once each
+  // on average.
+  const long long base_live = ftree::live_nodes();
+  {
+    constexpr std::uint64_t kKeys = std::uint64_t{1} << 17;
+    using Entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+    using Span = std::span<const std::pair<std::uint64_t, std::uint64_t>>;
+    Entries entries;
+    for (std::uint64_t k = 0; k < kKeys; ++k) entries.emplace_back(k, k);
+    using Aug = ftree::NoAug<std::uint64_t, std::uint64_t>;
+    N* t = ftree::build_sorted<std::uint64_t, std::uint64_t, Aug>(
+        Span(entries), 1);
+    const double fresh = static_cast<double>(reachable({t}));
+    Xoshiro256 rng(59);
+    auto uniform_batch = [&rng] {
+      Entries b;
+      for (int i = 0; i < 64; ++i) b.emplace_back(rng.next_below(kKeys), rng());
+      ftree::prepare_batch(b);
+      return b;
+    };
+    for (int i = 0; i < 2048; ++i) {
+      t = ftree::multi_insert(t, Span(uniform_batch()), 1);
+    }
+    EXPECT_LE(static_cast<double>(reachable({t})), 1.1 * fresh);
+    // Keys written once, into blocks the batch before also wrote, stay in
+    // their blocks.
+    const Entries before = uniform_batch();
+    t = ftree::multi_insert(t, Span(before), 1);
+    Entries once;
+    for (const auto& [k, v] : before) {
+      const std::uint64_t next = k + 1;
+      if (next < kKeys && in_block(t, next) &&
+          !std::binary_search(before.begin(), before.end(),
+                              std::pair<std::uint64_t, std::uint64_t>(next, 0),
+                              [](const auto& a, const auto& b) {
+                                return a.first < b.first;
+                              })) {
+        once.emplace_back(next, 7);
+      }
+    }
+    ftree::prepare_batch(once);
+    ASSERT_GE(once.size(), 32u);
+    t = ftree::multi_insert(t, Span(once), 1);
+    for (const auto& [k, v] : once) {
+      EXPECT_TRUE(in_block(t, k)) << "key " << k << " left its block";
+      EXPECT_EQ(*ftree::find(t, k), 7u);
+    }
+    expect_balanced(t);
+    ftree::collect(t);
+  }
+  EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
 TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
-  // 64 keys into a 2^17-key version is about 640 estimated copies, below
+  // 64 keys into a 2^17-key version is about 384 estimated copies, below
   // the two fork_work() (1024 at the default grain) a first fork needs, so
   // it must not fork; a batch of 2^14 keys is far above and must.
   // exec/tasks counts every fork the pool runs.
@@ -450,16 +527,21 @@ TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
-// Structural (bit-for-bit) equality: same keys, values, shape and cached
-// height/weight in every node. This is the contract of the parallel bulk
-// ops — the worker count must not change the resulting tree at all.
-void expect_identical(const N* x, const N* y) {
+// Structural (bit-for-bit) equality: same keys, values, shape, cached
+// height/weight and multi_insert write stamps in every node. This is the
+// contract of the parallel bulk ops — the worker count must not change the
+// resulting tree at all, nor which keys the next multi_insert lifts.
+template <class A>
+void expect_identical(const ftree::Node<std::uint64_t, std::uint64_t, A>* x,
+                      const ftree::Node<std::uint64_t, std::uint64_t, A>* y) {
   ASSERT_EQ(x == nullptr, y == nullptr);
   if (x == nullptr) return;
   EXPECT_EQ(x->height(), y->height());
   EXPECT_EQ(x->weight(), y->weight());
+  EXPECT_EQ(x->stamp, y->stamp);
   ASSERT_EQ(x->is_block(), y->is_block());
   if (x->is_block()) {
+    EXPECT_EQ(x->block()->written, y->block()->written);
     for (std::uint32_t i = 0; i < x->block()->size(); ++i) {
       EXPECT_EQ(x->block()->keys[i], y->block()->keys[i]);
       EXPECT_EQ(x->block()->vals[i], y->block()->vals[i]);
@@ -693,12 +775,26 @@ void expect_sum_tree(const S* t, const Model& want, Xoshiro256& rng,
 TEST(Ftree, BlockedLayoutHoldsUnderEveryUpdate) {
   // Random rounds of every update — multi_insert and union_ at 1 and 4
   // workers, split + join, insert, build_sorted — against a std::map
-  // model. Each round keeps the previous version alive across the update,
+  // model, then rounds of multi_inserts that rewrite a hot key set in
+  // consecutive batches, so hot keys are lifted to subtree roots under
+  // forks. Each round keeps the previous version alive across the update,
   // checks both (the old one must be untouched), then drops the old one:
   // the exact-reachability oracle says the live nodes are exactly those
   // reachable from the versions held, and the drop frees exactly the old
   // version's nodes that the new one does not share.
   const long long base_live = ftree::live_nodes();
+  // Drops `prev`, which must free exactly its nodes that `t` does not
+  // share, leaving live exactly the nodes reachable from `t`.
+  auto expect_exact_drop = [base_live](S* prev, const S* t) {
+    const std::size_t both =
+        ftree::reachable_nodes(std::vector<const S*>{prev, t});
+    const std::size_t survivors =
+        ftree::reachable_nodes(std::vector<const S*>{t});
+    EXPECT_EQ(ftree::live_nodes() - base_live, static_cast<long long>(both));
+    EXPECT_EQ(ftree::collect(prev), both - survivors);
+    EXPECT_EQ(ftree::live_nodes() - base_live,
+              static_cast<long long>(survivors));
+  };
   {
     constexpr std::uint64_t kSpace = 6000;
     Xoshiro256 rng(53);
@@ -769,16 +865,59 @@ TEST(Ftree, BlockedLayoutHoldsUnderEveryUpdate) {
       }
       expect_sum_tree(t, want, rng, kSpace);
       expect_sum_tree(prev, prev_want, rng, kSpace);
-      const std::size_t both =
-          ftree::reachable_nodes(std::vector<const S*>{prev, t});
-      const std::size_t survivors =
-          ftree::reachable_nodes(std::vector<const S*>{t});
-      EXPECT_EQ(ftree::live_nodes() - base_live,
-                static_cast<long long>(both));
-      EXPECT_EQ(ftree::collect(prev), both - survivors);
-      EXPECT_EQ(ftree::live_nodes() - base_live,
-                static_cast<long long>(survivors));
+      expect_exact_drop(prev, t);
     }
+    ftree::collect(t);
+  }
+  {
+    // Hot rewrites under forks. Each batch rewrites the same 64 hot keys
+    // among 1200 random ones in a 2^16-key tree, enough estimated work to
+    // fork at 4 workers while most slices still run down to single keys
+    // above the blocks. From the second batch on, a hot key whose slice is
+    // a single key is lifted: out of its block, then again as an Inner
+    // entry. From the same shared input the 1- and 4-worker results must
+    // be identical, stamps included.
+    constexpr std::uint64_t kSpace = std::uint64_t{1} << 17;
+    Xoshiro256 rng(61);
+    Batch init;
+    for (std::uint64_t k = 0; k < kSpace; k += 2) init.emplace_back(k, k % 7);
+    S* t = ftree::build_sorted<std::uint64_t, std::uint64_t, SumAug>(
+        BatchSpan(init), 1);
+    Model want(init.begin(), init.end());
+    Batch hot;
+    for (std::uint64_t k = 0; k < kSpace; k += kSpace / 64) {
+      hot.emplace_back(k, 0);
+    }
+    obs::set_enabled(true);
+    std::uint64_t forks = 0;
+    for (int round = 0; round < 6; ++round) {
+      S* prev = ftree::share(t);
+      const Model prev_want = want;
+      Batch b;
+      for (int i = 0; i < 1200; ++i) {
+        b.emplace_back(rng.next_below(kSpace), rng.next_below(1000));
+      }
+      for (auto& [k, v] : hot) v = rng.next_below(1000);
+      b.insert(b.end(), hot.begin(), hot.end());
+      ftree::prepare_batch(b);
+      S* one = ftree::multi_insert(ftree::share(t), BatchSpan(b), 1);
+      const std::uint64_t tasks = exec::exec_tasks().value();
+      S* four = ftree::multi_insert(ftree::share(t), BatchSpan(b), 4);
+      forks += exec::exec_tasks().value() - tasks;
+      expect_identical(one, four);
+      ftree::collect(four);
+      ftree::collect(t);
+      t = one;
+      for (const auto& [k, v] : b) want[k] = v;
+      expect_sum_tree(t, want, rng, kSpace);
+      expect_sum_tree(prev, prev_want, rng, kSpace);
+      expect_exact_drop(prev, t);
+    }
+    obs::set_enabled(false);
+    EXPECT_GT(forks, 0u) << "the 4-worker multi_inserts never forked";
+    std::size_t lifted = 0;
+    for (const auto& [k, v] : hot) lifted += in_block(t, k) ? 0 : 1;
+    EXPECT_GE(lifted, hot.size() / 2) << "hot keys left in their blocks";
     ftree::collect(t);
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);

@@ -403,13 +403,13 @@ TEST(TxnYcsb, MixesMatchTheirSpecs) {
 
 // ---------------------------------------------------------------------------
 // Commit reclamation (alloc/reclaim.h reclaim_retired): a commit whose work
-// estimate reaches 4 * config().grain hands its retired versions to the
+// estimate reaches 2 * config().grain hands its retired versions to the
 // background lane unless the lane still holds a batch; smaller commits free
 // inline. These tests pin the rule, the precision guarantees (live_nodes
 // back to baseline after the destructor's quiesce) and the latency win the
 // background lane exists for.
 
-// Scoped override of the defer threshold, 4 * config().grain. bulk_grain
+// Scoped override of the defer threshold, 2 * config().grain. bulk_grain
 // latches the real grain first, so the bulk ops keep their fork grain.
 struct GrainGuard {
   explicit GrainGuard(long grain) : saved(config().grain) {
