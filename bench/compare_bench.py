@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
 """Compares the parent and change runs recorded in one BENCH_*.json file.
 
-    python3 bench/compare_bench.py BENCH_19.json [--benchmark BENCHMARK.json]
+    python3 bench/compare_bench.py BENCH_20.json [--benchmark BENCHMARK.json]
+    python3 bench/compare_bench.py BENCH_20.json --against BENCH_19.json
 
 The file's runs.parent and runs.change hold, per workload, the JSON result
 lines of perfbench/run.py. Runs that carry "trace": 1 are left out, so only
 untraced end-to-end numbers are compared. Runs pair up by seed, or by
-position when the seeds differ.
+position when the seeds differ. With --against, the file's change runs are
+compared with the other file's change runs instead of its own parent runs:
+the trajectory from one recorded change to the next (the two were measured
+at different times, so host drift shows up as a move on every metric).
 
 For each workload and each end-to-end metric of BENCHMARK.json it prints
-both sides' median and quartiles, the pairs the change won (moved in the
+both sides' median and quartiles, each side's quartile spread relative to
+its own median (information only), the pairs the change won (moved in the
 metric's better direction), the gain of the change's median relative to the
-parent's (negative when worse) and the metric's bound. The verdict is WORSE
-when the change's median is worse than the parent's by more than the bound,
-WIDE when the change's quartile spread exceeds the bound times the parent's
-median (too spread to tell), and GAIN when the change won at least 9 pairs
-in 10 and its median gained more than the parent's quartile spread. Exits 1
-if any metric is WORSE or a run failed operations or its oracles, 0
-otherwise. Standard library only.
+baseline's (negative when worse) and the metric's bound. The verdict is
+WORSE when the change's median is worse than the baseline's by more than
+the bound, WIDE when the change's quartile spread exceeds the bound times
+the baseline's median (too spread to tell), and GAIN when the change won at
+least 9 pairs in 10 and its median gained more than the baseline's quartile
+spread. Exits 1 if any metric is WORSE or a run failed operations or its
+oracles, 0 otherwise. Standard library only.
 """
 import argparse
 import json
@@ -55,13 +60,18 @@ def fmt(x):
     return "%.4g" % x
 
 
-def compare(bench, metrics):
-    """Prints one table per workload; returns the number of problems."""
+def spread(q1, med, q3):
+    """Quartile spread relative to the median, as a percentage string."""
+    return "%.1f%%" % (100.0 * (q3 - q1) / med) if med else "-"
+
+
+def compare(base_runs, change_runs, metrics, base_label):
+    """Prints one table per workload, the change's runs against the
+    baseline's; returns the number of problems."""
     problems = 0
-    runs = bench["runs"]
-    for workload in sorted(runs["parent"]):
-        parent = untraced(runs["parent"][workload])
-        change = untraced(runs["change"].get(workload, []))
+    for workload in sorted(base_runs):
+        parent = untraced(base_runs[workload])
+        change = untraced(change_runs.get(workload, []))
         matched = pairs(parent, change)
         failed = sum(r.get("failed", 0) for r in parent + change)
         incorrect = sum(1 for r in parent + change if not r.get("correct"))
@@ -69,10 +79,10 @@ def compare(bench, metrics):
               % (workload, len(matched), failed, incorrect))
         if failed or incorrect:
             problems += 1
-        print("  %-14s %-34s %-34s %6s %8s %6s  %s"
-              % ("metric", "parent median [q1, q3]",
-                 "change median [q1, q3]", "won", "gain", "bound",
-                 "verdict"))
+        print("  %-14s %-34s %-34s %15s %6s %8s %6s  %s"
+              % ("metric", base_label + " median [q1, q3]",
+                 "change median [q1, q3]", "iqr/med", "won", "gain",
+                 "bound", "verdict"))
         for m in metrics:
             name = m["name"]
             got = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -94,10 +104,12 @@ def compare(bench, metrics):
                 verdict.append("WIDE")
             if won * 10 >= 9 * len(got) and gain > pq3 - pq1:
                 verdict.append("GAIN")
-            print("  %-14s %-34s %-34s %6s %+7.1f%% %5.0f%%  %s"
+            print("  %-14s %-34s %-34s %15s %6s %+7.1f%% %5.0f%%  %s"
                   % (name,
                      "%s [%s, %s]" % (fmt(pmed), fmt(pq1), fmt(pq3)),
                      "%s [%s, %s]" % (fmt(cmed), fmt(cq1), fmt(cq3)),
+                     "%s %s" % (spread(pq1, pmed, pq3),
+                                spread(cq1, cmed, cq3)),
                      "%d/%d" % (won, len(got)), 100.0 * rel,
                      100.0 * m["bound"], " ".join(verdict) or "ok"))
     return problems
@@ -110,16 +122,28 @@ def main():
     ap.add_argument("--benchmark", default=os.path.join(ROOT,
                                                         "BENCHMARK.json"),
                     help="the benchmark declaration with each metric's bound")
+    ap.add_argument("--against", metavar="BENCH_N.json",
+                    help="compare the change runs with this file's change "
+                    "runs instead of the parent runs")
     args = ap.parse_args()
     with open(args.benchmark) as f:
         metrics = json.load(f)["end_to_end"]
-    with open(args.bench) as f:
-        bench = json.load(f)
-    if "runs" not in bench or not {"parent", "change"} <= set(bench["runs"]):
-        print("%s has no runs.parent / runs.change" % args.bench,
-              file=sys.stderr)
-        return 2
-    return 1 if compare(bench, metrics) else 0
+    files = [args.bench] + ([args.against] if args.against else [])
+    runs = []
+    for path in files:
+        with open(path) as f:
+            bench = json.load(f)
+        if ("runs" not in bench
+                or not {"parent", "change"} <= set(bench["runs"])):
+            print("%s has no runs.parent / runs.change" % path,
+                  file=sys.stderr)
+            return 2
+        runs.append(bench["runs"])
+    if args.against:
+        base, label = runs[1]["change"], "previous change"
+    else:
+        base, label = runs[0]["parent"], "parent"
+    return 1 if compare(base, runs[0]["change"], metrics, label) else 0
 
 
 if __name__ == "__main__":

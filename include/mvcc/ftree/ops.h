@@ -17,7 +17,11 @@
 // written-slot mask record that); a hot key that a slice of the batch runs
 // down to is split out and joined back as the slice's root, which keeps
 // Zipf-hot keys near the root. Every other key is rewritten inside its
-// block, so uniform writes keep blocks whole.
+// block, so uniform writes keep blocks whole. The descent reads the old
+// version in place (borrowed, see below) and is bound by cache misses, not
+// copying: each key's bottom levels are one chain of dependent misses, so
+// a small slice of the batch first has all its paths walked together, many
+// keys in flight, prefetching what the copy will touch (prefetch_paths).
 //
 // Leaves are blocks (the PaC-tree layout): a Block is one allocation
 // holding a sorted run of up to kLeaf entries, with its own count, weight
@@ -32,14 +36,19 @@
 // Ownership protocol: a Node* is an owned reference. Every function taking
 // Node* by value CONSUMES that reference (the functional analogue of move
 // semantics); call `share` first to keep using a tree afterwards. Functions
-// taking const Node* only read. Reference counts are atomic: snapshot
-// holders may share/collect versions from any thread concurrently with the
-// (externally serialized) mutator, and the bulk operations (`union_`,
-// `multi_insert`, `build_sorted`) fork their independent recursive calls
-// across worker threads (MVCC_THREADS) — each worker consumes a disjoint
-// set of owned references, so the counts stay exact. They fork only where
-// both sides have enough estimated node copies (`batch_work`, `fork_work`),
-// so a small commit into a big version forks at most once.
+// taking const Node* only read. The path-copying descents of insert and
+// multi_insert (detail::insert_rec, multi_insert_rec) instead BORROW their
+// input: they read it under the caller's reference, which pins every node
+// below it, share only the untouched siblings into the owned tree they
+// return, and leave the caller to drop the input once. Reference counts
+// are atomic: snapshot holders may share/collect versions from any thread
+// concurrently with the (externally serialized) mutator, and the bulk
+// operations (`union_`, `multi_insert`, `build_sorted`) fork their
+// independent recursive calls across worker threads (MVCC_THREADS) — each
+// worker consumes or borrows a disjoint set of references, so the counts
+// stay exact. They fork only where both sides have enough estimated node
+// copies (`batch_work`, `fork_work`), so a small commit into a big version
+// forks at most once.
 #pragma once
 
 #include <algorithm>
@@ -138,9 +147,10 @@ struct AugSum {
 
 // Entries per leaf block: a u64 -> u64 block (with or without a sum aug)
 // fills the pool's 512-byte size class. At 2^21 keys and 900-key batches
-// (BM_TreeCommitStages, 4-vCPU Xeon VM) 30 entries measured 3.5 us per
-// written key in multi_insert and 1.4 in collect, against 3.7-4.3 and
-// 1.7-1.9 for 14 entries (a 256-byte block).
+// (BM_TreeCommitStages, 4-vCPU Xeon VM, 3 alternating rounds) 30 entries
+// measured 0.98-1.24 us per written key in multi_insert and 0.38-0.54 in
+// collect with 0.065 nodes per key, against 1.02-1.06, 0.46-0.47 and 0.133
+// for 14 entries (a 256-byte block): half the nodes, for as fast a commit.
 inline constexpr std::uint32_t kLeaf = 30;
 
 template <class K, class V, class A>
@@ -623,8 +633,8 @@ inline std::uint64_t blocks_for(std::uint64_t n) {
   return (n + kLeaf + 1) / (kLeaf + 1);
 }
 
-// A key's block copy in Inner copies: about 1.3, measured cold on a
-// 2^21-key u64 map.
+// A key's block copy, in Inner copies. Counted as one node, like the
+// copies BM_TreeCommitStages counts, against which batch_work is checked.
 inline constexpr std::uint64_t kLeafWork = 1;
 
 // Estimated node copies, in Inner copies, for applying m sorted keys to a
@@ -632,7 +642,7 @@ inline constexpr std::uint64_t kLeafWork = 1;
 // levels, and h counts the block level and the deepest path, about one
 // level below the mean, so each key copies about h - bit_width(m) - 2
 // Inners plus its block (BM_TreeCommitStages, per key: 7.5 nodes measured
-// against 8 estimated at h = 19, m = 900; 8.4 against 9 at h = 17,
+// against 8 estimated at h = 19, m = 900; 8.5 against 9 at h = 17,
 // m = 120). Into an empty tree it is the cost of building the batch, a
 // block and a separator per block. Freeing the retired version visits
 // about as many nodes, so commit sizing uses it too.
@@ -823,14 +833,13 @@ void merge_entries(const Block<K, V, A>* b,
 // into block `b` as one block copy, stamped `seq` with the batch's slots
 // marked written, or — when the result overflows a block — builds the
 // merged run into a small subtree (two half-blocks under one Inner for a
-// slice of a few keys). Consumes `b`.
+// slice of a few keys). `b` is borrowed: only read, never released.
 template <class K, class V, class A>
-Node<K, V, A>* merge_block(Block<K, V, A>* b,
+Node<K, V, A>* merge_block(const Block<K, V, A>* b,
                            std::span<const std::pair<K, V>> batch,
                            int budget, std::uint32_t seq) {
   std::size_t n = 0;
   merge_entries(b, batch, [&n](const K&, const V&, bool) { ++n; });
-  Node<K, V, A>* out;
   if (n <= kLeaf) {
     Block<K, V, A>* nb = NodeAlloc::create<Block<K, V, A>>();
     std::uint32_t i = 0;
@@ -842,22 +851,22 @@ Node<K, V, A>* merge_block(Block<K, V, A>* b,
     });
     nb->seal(i);
     nb->stamp = seq;
-    out = nb;
-  } else {
-    std::vector<std::pair<K, V>> merged;
-    merged.reserve(n);
-    merge_entries(b, batch, [&merged](const K& k, const V& v, bool) {
-      merged.emplace_back(k, v);
-    });
-    out = build_sorted_rec<K, V, A>(std::span<const std::pair<K, V>>(merged),
-                                    blocks_for(n), budget);
+    return nb;
   }
-  drop(b);
-  return out;
+  std::vector<std::pair<K, V>> merged;
+  merged.reserve(n);
+  merge_entries(b, batch, [&merged](const K& k, const V& v, bool) {
+    merged.emplace_back(k, v);
+  });
+  return build_sorted_rec<K, V, A>(std::span<const std::pair<K, V>>(merged),
+                                   blocks_for(n), budget);
 }
 
 // Path-copying insert-or-replace of one key, stamping the block it lands
-// in with `seq`: the single-key descent of insert and multi_insert.
+// in with `seq`: the single-key descent of insert and multi_insert. `t` is
+// borrowed (the caller keeps its reference, which pins the whole path):
+// the path is read in place and only the untouched sibling at each level
+// is shared into the copy.
 template <class K, class V, class A>
 Node<K, V, A>* insert_rec(Node<K, V, A>* t, const K& k, const V& v,
                           std::uint32_t seq) {
@@ -867,13 +876,16 @@ Node<K, V, A>* insert_rec(Node<K, V, A>* t, const K& k, const V& v,
     return merge_block(t->block(), std::span<const std::pair<K, V>>(&e, 1),
                        1, seq);
   }
-  Node<K, V, A>*l, *r;
-  K tk;
-  V tv;
-  expose(t, &l, &r, &tk, &tv);
-  if (k < tk) return balance_node(insert_rec(l, k, v, seq), tk, tv, r);
-  if (tk < k) return balance_node(l, tk, tv, insert_rec(r, k, v, seq));
-  return make_node(k, v, l, r);
+  const Inner<K, V, A>* in = t->inner();
+  if (k < in->key) {
+    return balance_node(insert_rec(in->left, k, v, seq), in->key, in->val,
+                        share(in->right));
+  }
+  if (in->key < k) {
+    return balance_node(share(in->left), in->key, in->val,
+                        insert_rec(in->right, k, v, seq));
+  }
+  return make_node(k, v, share(in->left), share(in->right));
 }
 
 // Whether `k` is hot in `t` for the multi_insert numbered `seq`: it is an
@@ -901,25 +913,101 @@ bool is_hot(const Node<K, V, A>* t, const K& k, std::uint32_t seq) {
   return false;
 }
 
+// The prefetch pass of multi_insert: a slice of at most kPrefetchSlice keys
+// is where the batch's root-to-block paths stop sharing cached upper levels
+// and each key's last ~10 levels become one chain of dependent misses.
+// Walking the keys one after another pays those chains back to back;
+// walking kPrefetchLanes of them round-robin, one level per lane per turn,
+// keeps that many misses in flight. At each Inner both children get a
+// write-intent prefetch (the descent reads one and shares the other); at a
+// block all its lines are prefetched for the merge.
+inline constexpr std::size_t kPrefetchSlice = 64;
+inline constexpr std::size_t kPrefetchLanes = 16;
+
+// Walks the paths of `batch`'s keys in `t` (non-null) as above, prefetching
+// as it goes, and returns the nodes visited: per key, the nodes `find` would
+// read. Only reads; the caller's reference to `t` pins every node it
+// touches.
+template <class K, class V, class A>
+std::size_t prefetch_paths(const Node<K, V, A>* t,
+                           std::span<const std::pair<K, V>> batch) {
+  struct Lane {
+    const Node<K, V, A>* at;
+    std::size_t key;
+  };
+  Lane lanes[kPrefetchLanes];
+  std::size_t live = 0;
+  std::size_t next = 0;
+  std::size_t visited = 0;
+  while (live < kPrefetchLanes && next < batch.size()) {
+    lanes[live++] = {t, next++};
+  }
+  while (live > 0) {
+    for (std::size_t i = 0; i < live;) {
+      Lane& lane = lanes[i];
+      const Node<K, V, A>* n = lane.at;
+      ++visited;
+      // The walk has no effect the compiler can see (a prefetch is not
+      // one), so without this barrier it may delete the loads that carry
+      // the walk, and the pass with them.
+      asm volatile("" : : "r"(n) : "memory");
+      const Node<K, V, A>* down = nullptr;
+      if (n->is_block()) {
+        // Pool blocks are only 16-byte aligned: the last byte's line too.
+        const char* p = reinterpret_cast<const char*>(n->block());
+        for (std::size_t off = 64; off < sizeof(Block<K, V, A>); off += 64) {
+          __builtin_prefetch(p + off);
+        }
+        __builtin_prefetch(p + sizeof(Block<K, V, A>) - 1);
+      } else {
+        const Inner<K, V, A>* in = n->inner();
+        __builtin_prefetch(in->left, 1);
+        __builtin_prefetch(in->right, 1);
+        const K& k = batch[lane.key].first;
+        if (k < in->key) {
+          down = in->left;
+        } else if (in->key < k) {
+          down = in->right;
+        }
+      }
+      if (down != nullptr) {
+        lane.at = down;
+      } else if (next < batch.size()) {
+        lane = {t, next++};
+      } else {
+        lane = lanes[--live];
+        continue;
+      }
+      ++i;
+    }
+  }
+  return visited;
+}
+
 // Recursive core of multi_insert, the one numbered `seq`: descends `t`
 // with the sorted batch, handing each child the slice of keys that belongs
-// under it, and rebuilds with join. A slice that reaches a block merges
-// into one block copy stamped `seq`. Where a slice runs down to a single
-// key above the blocks, the key is lifted only if it is hot (is_hot): it is
-// split out of the subtree and joined back as its root — the shape a union
-// with it would leave — so a key written in two consecutive batches ends
-// up nearly as shallow as after a union, and stays there while it is
-// written. Zipf-hot keys thus stay near the root where reads find them
-// fast. Any other single key is rewritten inside its block by a plain
-// path copy, which keeps blocks whole under uniform writes: lifting every
-// written key would split its block and copy about two more nodes. The two
-// children and their slices are key-disjoint, so a fork hands each side
-// its own owned references, as in union_rec.
+// under it, and rebuilds with join. `t` is borrowed, as in insert_rec: the
+// descent reads the old version in place, without touching its counts, and
+// shares only an untouched sibling into the new tree, so each copied level
+// costs one count update instead of expose's three. The first slice of at
+// most kPrefetchSlice keys (`warm` is still false) runs prefetch_paths over
+// its keys before descending. A slice that reaches a block merges into one
+// block copy stamped `seq`. Where a slice runs down to a single key above
+// the blocks, the key is lifted only if it is hot (is_hot): it is split out
+// of the subtree and joined back as its root — the shape a union with it
+// would leave — so a key written in two consecutive batches ends up nearly
+// as shallow as after a union, and stays there while it is written.
+// Zipf-hot keys thus stay near the root where reads find them fast. Any
+// other single key is rewritten inside its block by a plain path copy,
+// which keeps blocks whole under uniform writes: lifting every written key
+// would split its block and copy about two more nodes. The two children and
+// their slices are key-disjoint and the caller's reference pins both, so a
+// fork can hand each side its own subtree, as in union_rec.
 template <class K, class V, class A>
 Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
                                 std::span<const std::pair<K, V>> batch,
-                                int budget, std::uint32_t seq) {
-  if (batch.empty()) return t;
+                                int budget, std::uint32_t seq, bool warm) {
+  if (batch.empty()) return share(t);
   if (t == nullptr) {
     return build_sorted_rec<K, V, A>(batch, blocks_for(batch.size()), budget);
   }
@@ -927,19 +1015,23 @@ Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
   if (batch.size() == 1) {
     const auto& [bk, bv] = batch.front();
     if (!is_hot(t, bk, seq)) return insert_rec(t, bk, bv, seq);
-    SplitResult<K, V, A> s = split(t, bk);
+    SplitResult<K, V, A> s = split(share(t), bk);
     return join(s.left, bk, bv, s.right);
   }
-  Node<K, V, A>*l, *r;
-  K k;
-  V v;
-  expose(t, &l, &r, &k, &v);
+  if (!warm && batch.size() <= kPrefetchSlice) {
+    prefetch_paths(t, batch);
+    warm = true;
+  }
+  const Inner<K, V, A>* in = t->inner();
+  Node<K, V, A>* l = in->left;
+  Node<K, V, A>* r = in->right;
+  const K& k = in->key;
   const auto at = std::lower_bound(
       batch.begin(), batch.end(), k,
       [](const std::pair<K, V>& e, const K& key) { return e.first < key; });
   const std::size_t lo = static_cast<std::size_t>(at - batch.begin());
   const bool hit = at != batch.end() && !(k < at->first);
-  if (hit) v = at->second;
+  const V& v = hit ? at->second : in->val;
   const auto lb = batch.first(lo);
   const auto rb = batch.subspan(hit ? lo + 1 : lo);
   if (should_fork(budget, batch_work(lb.size(), height_of(l)),
@@ -947,12 +1039,16 @@ Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
     const int lbud = budget / 2;
     const int rbud = budget - lbud;
     auto [nl, nr] = exec::invoke2(
-        [l, lb, lbud, seq] { return multi_insert_rec(l, lb, lbud, seq); },
-        [r, rb, rbud, seq] { return multi_insert_rec(r, rb, rbud, seq); });
+        [l, lb, lbud, seq, warm] {
+          return multi_insert_rec(l, lb, lbud, seq, warm);
+        },
+        [r, rb, rbud, seq, warm] {
+          return multi_insert_rec(r, rb, rbud, seq, warm);
+        });
     return join(nl, k, v, nr);
   }
-  return join(multi_insert_rec(l, lb, budget, seq), k, v,
-              multi_insert_rec(r, rb, budget, seq));
+  return join(multi_insert_rec(l, lb, budget, seq, warm), k, v,
+              multi_insert_rec(r, rb, budget, seq, warm));
 }
 
 }  // namespace detail
@@ -961,7 +1057,9 @@ Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
 // root. O(log n) new nodes; everything off the search path is shared.
 template <class K, class V, class A>
 Node<K, V, A>* insert(Node<K, V, A>* t, const K& k, const V& v) {
-  return detail::insert_rec(t, k, v, 0);
+  Node<K, V, A>* out = detail::insert_rec(t, k, v, 0);
+  collect(t);
+  return out;
 }
 
 // Union of two versions; on duplicate keys the entry from `b` wins (so
@@ -1013,11 +1111,12 @@ void prepare_batch(std::vector<std::pair<K, V>>& batch) {
 // only where a slice of the batch runs down to one hot key (see
 // multi_insert_rec). It is numbered one past the stamp of `t`'s root, and
 // the new root carries that number, so the next multi_insert on it knows
-// which keys this one wrote. Consumes `t`. O(m log(n/m + 1)) work; forks
-// across `threads` workers (0 = config().threads) only where batch_work
-// says both sides are worth it, so a commit-sized batch into a big version
-// forks at most once. The result, stamps included, is bit-identical for
-// every worker count.
+// which keys this one wrote. Consumes `t`: the descent only borrows it, and
+// it is dropped once at the end. O(m log(n/m + 1)) work; forks across
+// `threads` workers (0 = config().threads) only where batch_work says both
+// sides are worth it, so a commit-sized batch into a big version forks at
+// most once. The result, stamps included, is bit-identical for every
+// worker count.
 template <class K, class V, class A>
 Node<K, V, A>* multi_insert(Node<K, V, A>* t,
                             std::span<const std::pair<K, V>> batch,
@@ -1030,7 +1129,9 @@ Node<K, V, A>* multi_insert(Node<K, V, A>* t,
   const int budget = detail::bulk_budget(
       threads, batch_work(batch.size(), height_of(t)));
   const std::uint32_t seq = (t != nullptr ? t->stamp : 0) + 1;
-  Node<K, V, A>* out = detail::multi_insert_rec(t, batch, budget, seq);
+  Node<K, V, A>* out =
+      detail::multi_insert_rec(t, batch, budget, seq, /*warm=*/false);
+  collect(t);
   if (!batch.empty()) {
     assert(detail::unique(out));
     out->stamp = seq;  // a new root, not yet visible to any other thread

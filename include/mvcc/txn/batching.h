@@ -74,6 +74,8 @@ namespace mvcc::txn {
 //                             waiter was parked on rings that ran dry
 //   txn/admission_rejects     submit calls that blocked on the in-flight
 //                             bound before their op was admitted
+//   txn/stage/form_ns         batch formation: first op drained into a
+//                             batch to the start of its commit
 //   txn/stage/<stage>_ns      one commit's time in each stage, recorded
 //                             as consecutive laps of one timer so the four
 //                             stages add up to the whole commit:
@@ -87,6 +89,7 @@ struct BatchingStats {
   obs::LatencyHistogram& commit_latency_ns;
   obs::Counter& flattener_stalls;
   obs::Counter& admission_rejects;
+  obs::LatencyHistogram& stage_form_ns;
   obs::LatencyHistogram& stage_prepare_ns;
   obs::LatencyHistogram& stage_insert_ns;
   obs::LatencyHistogram& stage_publish_ns;
@@ -98,6 +101,7 @@ struct BatchingStats {
         obs::registry().histogram("txn/commit_latency_ns"),
         obs::registry().counter("txn/flattener_stalls"),
         obs::registry().counter("txn/admission_rejects"),
+        obs::registry().histogram("txn/stage/form_ns"),
         obs::registry().histogram("txn/stage/prepare_ns"),
         obs::registry().histogram("txn/stage/insert_ns"),
         obs::registry().histogram("txn/stage/publish_ns"),
@@ -368,8 +372,10 @@ class BatchingMap {
     std::size_t raw_ops = 0;
     int idle_polls = 0;
     int cursor = 0;
-    // Timestamp of the first op drained into the in-flight batch; 0 while
-    // the batch is empty. Spans batch formation in the trace.
+    // Whether the in-flight batch's formation is timed (its first op was
+    // drained under stats), and when that op was drained. Batch formation
+    // is the txn/stage/form_ns sample and, under tracing, a span.
+    bool forming = false;
     std::uint64_t form_t0 = 0;
     for (;;) {
       const bool stopping = stop_.load(std::memory_order_acquire);
@@ -395,7 +401,10 @@ class BatchingMap {
         }
         r.popped.store(head + take, std::memory_order_release);
         from[static_cast<std::size_t>(p)] += take;
-        if (raw_ops == 0 && obs::trace_on()) form_t0 = obs::trace_now_ns();
+        if (raw_ops == 0 && obs::enabled()) {
+          forming = true;
+          form_t0 = obs::trace_now_ns();
+        }
         raw_ops += take;
         if (obs::enabled()) {
           g_queue_depth.fetch_sub(static_cast<std::int64_t>(take),
@@ -419,9 +428,11 @@ class BatchingMap {
           BatchingStats::get().flattener_stalls.add();
           obs::trace_instant("txn/flattener_stall", raw_ops);
         }
-        if (form_t0 != 0) {
+        if (forming) {
+          BatchingStats::get().stage_form_ns.record(obs::trace_now_ns() -
+                                                    form_t0);
           obs::trace_complete_since("txn/batch_form", form_t0, raw_ops);
-          form_t0 = 0;
+          forming = false;
         }
         commit(batch, from, raw_ops);
         batch.clear();

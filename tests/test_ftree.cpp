@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <span>
@@ -20,6 +22,8 @@
 #include "mvcc/ftree/fmap.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/obs/obs.h"
+
+#include "gc_oracle.h"
 
 namespace {
 
@@ -976,6 +980,206 @@ TEST(Ftree, NestedMapPayloadsFreeExactly) {
         versions.erase(versions.begin() + static_cast<std::ptrdiff_t>(victim));
       }
     }
+  }
+  EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
+// Nodes a find for `k` reads in `t`: the root-to-block path, or the path
+// to the Inner that holds `k`. Sets *at_inner in the second case.
+std::size_t path_nodes(const N* t, std::uint64_t k, bool* at_inner) {
+  std::size_t n = 0;
+  *at_inner = false;
+  while (t != nullptr) {
+    ++n;
+    if (t->is_block()) break;
+    const auto* in = t->inner();
+    if (k == in->key) {
+      *at_inner = true;
+      break;
+    }
+    t = k < in->key ? in->left : in->right;
+  }
+  return n;
+}
+
+TEST(Ftree, PrefetchPassVisitsEveryPathNode) {
+  // multi_insert's prefetch pass has no result but its visit count, and a
+  // pass that stops early or skips keys would still leave every tree
+  // correct. So on a fixed tree the count must be exactly the sum of the
+  // batch's path lengths, for batches narrower and wider than its lanes,
+  // with some paths ending at Inner entries.
+  const long long base_live = ftree::live_nodes();
+  {
+    constexpr std::uint64_t kSpace = std::uint64_t{1} << 13;
+    Batch init;
+    for (std::uint64_t k = 0; k < kSpace; k += 2) init.emplace_back(k, k);
+    N* t = ftree::build_sorted<std::uint64_t, std::uint64_t,
+                               ftree::NoAug<std::uint64_t, std::uint64_t>>(
+        BatchSpan(init), 1);
+    const std::uint64_t lifted[] = {100, 2000, 5000};
+    for (std::uint64_t k : lifted) {
+      auto s = ftree::split(t, k);
+      t = ftree::join(s.left, k, k, s.right);
+    }
+    Xoshiro256 rng(71);
+    std::size_t inner_ends = 0;
+    for (std::size_t n : {1, 5, 16, 17, 40, 64}) {
+      Batch b;
+      for (std::size_t i = 0; i < n; ++i) {
+        b.emplace_back(rng.next_below(kSpace), 0);
+      }
+      if (n > 4) {
+        for (std::uint64_t k : lifted) b.emplace_back(k, 0);
+      }
+      ftree::prepare_batch(b);
+      std::size_t want = 0;
+      for (const auto& [k, v] : b) {
+        bool at_inner = false;
+        want += path_nodes(t, k, &at_inner);
+        inner_ends += at_inner ? 1 : 0;
+      }
+      EXPECT_EQ(ftree::detail::prefetch_paths(t, BatchSpan(b)), want)
+          << n << " keys";
+    }
+    EXPECT_GT(inner_ends, 0u) << "no path ended at an Inner entry";
+    ftree::collect(t);
+  }
+  EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
+TEST(Ftree, MultiInsertExactUnderConcurrentVersionChurn) {
+  // multi_insert and insert read the old version by borrowing its nodes:
+  // they take no count on the path they copy, only on the siblings they
+  // share into the new version. Here collector threads drop older
+  // versions, decrementing the counts of nodes the current version shares
+  // with them, while the writer descends the current version at 1 and at
+  // 4 workers. Each round ends at a quiescent point, where the gc oracle
+  // checks that the versions dropped during the round freed exactly the
+  // nodes reachable from them and from no held version, and that the live
+  // nodes are exactly those reachable from the versions held.
+  const long long base_live = ftree::live_nodes();
+  using Roots = std::vector<const N*>;
+  for (int workers : {1, 4}) {
+    constexpr std::uint64_t kSpace = std::uint64_t{1} << 16;
+    Xoshiro256 rng(83 + static_cast<std::uint64_t>(workers));
+    Batch init;
+    for (std::uint64_t k = 0; k < kSpace; k += 2) init.emplace_back(k, k);
+    N* cur = ftree::build_sorted<std::uint64_t, std::uint64_t,
+                                 ftree::NoAug<std::uint64_t, std::uint64_t>>(
+        BatchSpan(init), 1);
+    Model want(init.begin(), init.end());
+    std::deque<N*> held;  // older versions readers still pin, oldest first
+    std::mutex mu;
+    std::vector<N*> retired;
+    bool done = false;
+    std::atomic<long long> freed{0};
+    std::atomic<int> pending{0};
+    std::vector<std::thread> collectors;
+    for (int c = 0; c < 3; ++c) {
+      collectors.emplace_back([&] {
+        for (;;) {
+          N* v = nullptr;
+          {
+            std::lock_guard<std::mutex> g(mu);
+            if (!retired.empty()) {
+              v = retired.back();
+              retired.pop_back();
+            } else if (done) {
+              return;
+            }
+          }
+          if (v == nullptr) {
+            std::this_thread::yield();
+            continue;
+          }
+          freed += static_cast<long long>(ftree::collect(v));
+          --pending;
+        }
+      });
+    }
+    for (int round = 0; round < 60; ++round) {
+      // Half the keys come from a small hot set, so consecutive batches
+      // rewrite them and the hot-key lift runs too.
+      Batch b;
+      const int n = round % 3 == 2 ? 300 : 40;
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t k = i % 2 == 0 ? rng.next_below(kSpace)
+                                           : rng.next_below(64) * 1021;
+        b.emplace_back(k, rng());
+      }
+      ftree::prepare_batch(b);
+      std::vector<N*> dropped;
+      while (held.size() > 3) {
+        dropped.push_back(held.front());
+        held.pop_front();
+      }
+      Roots survivors(held.begin(), held.end());
+      survivors.push_back(cur);
+      const long long expect =
+          gc_oracle::freed_by(Roots(dropped.begin(), dropped.end()), survivors);
+      freed = 0;
+      pending = static_cast<int>(dropped.size());
+      {
+        std::lock_guard<std::mutex> g(mu);
+        retired.insert(retired.end(), dropped.begin(), dropped.end());
+      }
+      N* next = ftree::share(cur);
+      if (round % 5 == 4) {
+        for (std::size_t i = 0; i < 8 && i < b.size(); ++i) {
+          next = ftree::insert(next, b[i].first, b[i].second);
+          want[b[i].first] = b[i].second;
+        }
+      } else {
+        next = ftree::multi_insert(next, BatchSpan(b), workers);
+        for (const auto& [k, v] : b) want[k] = v;
+      }
+      held.push_back(cur);
+      cur = next;
+      while (pending.load() != 0) std::this_thread::yield();
+      EXPECT_EQ(freed.load(), expect) << "round " << round;
+      Roots all(held.begin(), held.end());
+      all.push_back(cur);
+      EXPECT_EQ(ftree::live_nodes() - base_live,
+                static_cast<long long>(ftree::reachable_nodes(all)))
+          << "round " << round;
+    }
+    {
+      std::lock_guard<std::mutex> g(mu);
+      done = true;
+    }
+    for (auto& t : collectors) t.join();
+    expect_balanced(cur);
+    expect_matches(cur, want);
+    for (N* v : held) ftree::collect(v);
+    ftree::collect(cur);
+    EXPECT_EQ(ftree::live_nodes(), base_live);
+  }
+  {
+    // insert on a shared version: the survivor keeps every entry, and
+    // dropping it frees exactly the path the new version copied.
+    Batch init;
+    for (std::uint64_t k = 0; k < 4096; k += 2) init.emplace_back(k, k);
+    N* a = ftree::build_sorted<std::uint64_t, std::uint64_t,
+                               ftree::NoAug<std::uint64_t, std::uint64_t>>(
+        BatchSpan(init), 1);
+    const Model wa(init.begin(), init.end());
+    Model wb = wa;
+    N* b = ftree::share(a);
+    const std::uint64_t root_key = a->inner()->key;
+    for (std::uint64_t k : {root_key, std::uint64_t{7}, std::uint64_t{1000},
+                            std::uint64_t{4095}}) {
+      b = ftree::insert(b, k, k + 1);
+      wb[k] = k + 1;
+    }
+    expect_balanced(a);
+    expect_matches(a, wa);
+    expect_balanced(b);
+    expect_matches(b, wb);
+    const long long expect = gc_oracle::freed_by(Roots{a}, Roots{b});
+    EXPECT_GT(expect, 0);
+    EXPECT_EQ(static_cast<long long>(ftree::collect(a)), expect);
+    expect_matches(b, wb);
+    ftree::collect(b);
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }

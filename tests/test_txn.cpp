@@ -179,17 +179,19 @@ TEST(TxnBatching, BaseVmVariantCommitsAndDrains) {
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
-// Under stats, every commit records one lap per stage, so the four stage
-// histograms each gain exactly one sample per published version.
+// Under stats, every commit records its batch's formation time and one lap
+// per commit stage, so the five stage histograms each gain exactly one
+// sample per published version.
 TEST(TxnBatching, CommitStagesRecordOneSamplePerVersion) {
   const long long base_live = ftree::live_nodes();
   obs::set_enabled(true);
   txn::BatchingStats& st = txn::BatchingStats::get();
-  obs::LatencyHistogram* stages[] = {&st.stage_prepare_ns, &st.stage_insert_ns,
+  obs::LatencyHistogram* stages[] = {&st.stage_form_ns, &st.stage_prepare_ns,
+                                     &st.stage_insert_ns,
                                      &st.stage_publish_ns,
                                      &st.stage_reclaim_ns};
-  std::uint64_t before[4];
-  for (int i = 0; i < 4; ++i) before[i] = stages[i]->count();
+  std::uint64_t before[5];
+  for (int i = 0; i < 5; ++i) before[i] = stages[i]->count();
   std::uint64_t batches = 0;
   {
     PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/32);
@@ -202,7 +204,7 @@ TEST(TxnBatching, CommitStagesRecordOneSamplePerVersion) {
   }
   obs::set_enabled(false);
   EXPECT_GE(batches, 1000u / 32);
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(stages[i]->count() - before[i], batches) << "stage " << i;
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
