@@ -1,7 +1,8 @@
 // Microbenchmarks for the functional tree substrate: point ops, range sums,
-// and the parallel bulk operations (union / multi_insert) whose join-based
-// parallelism the batching writer relies on, including the small-batch
-// multi_insert regime its commits live in and its stage decomposition.
+// and the parallel bulk operations (multi_insert, build_sorted) whose
+// join-based parallelism the batching writer relies on, including the
+// small-batch multi_insert regime its commits live in and its stage
+// decomposition.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -54,17 +55,6 @@ void BM_TreeRangeSum(benchmark::State& state) {
     const std::uint64_t lo = rng();
     benchmark::DoNotOptimize(m.aug_range(lo, lo + (~std::uint64_t{0} >> 8)));
   }
-}
-
-void BM_TreeUnion(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  SumMap a = make_random(n, 7);
-  SumMap b = make_random(n / 10, 8);  // paper shape: big corpus, small delta
-  for (auto _ : state) {
-    SumMap u = a.union_with(b);
-    benchmark::DoNotOptimize(u.size());
-  }
-  state.SetItemsProcessed(state.iterations() * (n / 10));
 }
 
 void BM_TreeMultiInsert(benchmark::State& state) {
@@ -131,20 +121,26 @@ void BM_TreeMultiInsertVsLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
 }
 
-void BM_TreeBulkUnionThreads(benchmark::State& state) {
-  // Fork-join scaling of the bulk union: the same corpus/delta union with
-  // an explicit worker budget. The /1 rows are the sequential baseline the
-  // speedup at /2, /4... is measured against (the result tree is
-  // bit-identical at every worker count).
+void BM_TreeMultiInsertThreads(benchmark::State& state) {
+  // Fork-join scaling of the bulk apply: the same batch of n/4 random keys
+  // into the same corpus with an explicit worker budget. The /1 rows are
+  // the sequential baseline the speedup at /2, /4... is measured against
+  // (the result tree is bit-identical at every worker count).
   const std::int64_t n = state.range(0);
   const int threads = static_cast<int>(state.range(1));
   SumMap a = make_random(n, 21);
-  SumMap b = make_random(n / 4, 22);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> batch;
+  Xoshiro256 rng(22);
+  for (std::int64_t i = 0; i < n / 4; ++i) batch.emplace_back(rng(), 1);
+  ftree::prepare_batch(batch);
   for (auto _ : state) {
-    SumMap u = a.union_with(b, threads);
+    SumMap u = a.multi_inserted(
+        std::span<const std::pair<std::uint64_t, std::uint64_t>>(batch),
+        threads);
     benchmark::DoNotOptimize(u.size());
   }
-  state.SetItemsProcessed(state.iterations() * (n / 4));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.size()));
 }
 
 void BM_TreeBuildSortedThreads(benchmark::State& state) {
@@ -234,11 +230,10 @@ void BM_TreeCommitStages(benchmark::State& state) {
 BENCHMARK(BM_TreeInsert)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 BENCHMARK(BM_TreeFind)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 BENCHMARK(BM_TreeRangeSum)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_TreeUnion)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_TreeMultiInsert)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_TreeMultiInsertSmallBatch)->Arg(1 << 20);
 BENCHMARK(BM_TreeMultiInsertVsLoop)->Arg(1 << 14)->Arg(1 << 17);
-BENCHMARK(BM_TreeBulkUnionThreads)
+BENCHMARK(BM_TreeMultiInsertThreads)
     ->Args({1 << 18, 1})
     ->Args({1 << 18, 2})
     ->Args({1 << 18, 4})

@@ -1,7 +1,7 @@
 // Reproduces TABLE 3 of the paper: the inverted-index application in the
 // dynamic setting. With p threads generating queries and the writer applying
 // document batches (each batch one atomic write transaction applied with
-// parallel tree union), run updates and queries simultaneously for a fixed
+// parallel multi_insert), run updates and queries simultaneously for a fixed
 // wall-clock window (Tu+q); then run the same number of updates alone (Tu)
 // and queries alone (Tq). The paper's claim: Tu + Tq ~ Tu+q, i.e., running
 // them concurrently costs almost nothing.

@@ -7,7 +7,7 @@
 //   MVCC_SCALE    multiplier applied to structure sizes; non-positive or
 //                 non-finite values mean the default          (default 1.0)
 //   MVCC_THREADS  worker-thread count for batch/bulk ops       (default hw)
-//   MVCC_GRAIN    fork-join grain of the bulk tree ops (ftree/ops.h); four
+//   MVCC_GRAIN    fork-join grain of the bulk tree ops (ftree/ops.h); two
 //                 grains of work move a commit's frees off the commit
 //                 path (alloc/reclaim.h)                    (default 2048)
 //   MVCC_ALLOC    "slab" routes fixed-size blocks through the alloc/pool.h
@@ -15,9 +15,9 @@
 //                 comparison                              (default "slab")
 //   MVCC_SLAB_BYTES  bytes per slab the alloc/ pool carves blocks from,
 //                 clamped to [4096, 16MiB]                 (default 65536)
-//   MVCC_SHARDS   default shard count of txn/sharded.h's ShardedMap,
-//                 clamped to [1, 256] and latched at the first ShardedMap
-//                 construction                                 (default 1)
+//   MVCC_SHARDS   when set, the one shard count the benches' sharded
+//                 cells run (bench/bench_util.h's shard_sweep; unset, they
+//                 sweep 1/2/4), clamped to [1, 256]            (default 1)
 //
 // The obs knobs (MVCC_STATS, MVCC_TRACE, MVCC_SAMPLE_MS, MVCC_SAMPLE_OUT)
 // are listed in obs/obs.h; the bench-only ones (MVCC_SECONDS,

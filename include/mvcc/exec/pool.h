@@ -3,7 +3,7 @@
 // off-critical-path precise reclamation (alloc/reclaim.h).
 //
 // Before this layer every fork was a `std::async` thread (fine for one big
-// batch, wasteful for many small concurrent unions, with the spawn-failure
+// batch, wasteful for many small concurrent bulk ops, with the spawn-failure
 // fallback hand-rolled at every call site) and every freed set was deleted
 // inline on whoever dropped the last reference, stalling the flattener on
 // large retirements. The pool replaces both with one process-wide set of

@@ -59,19 +59,12 @@ class FMap {
     return FMap(ftree::insert(ftree::share(root_), k, v));
   }
 
-  // A new version with every entry of `other` applied over this one
-  // (other's values win on duplicate keys). O(m log(n/m + 1)) work, forked
-  // across `threads` workers (0 = config().threads, 1 = sequential); the
-  // result is identical for every worker count.
-  FMap union_with(const FMap& other, int threads = 0) const {
-    return FMap(
-        union_(ftree::share(root_), ftree::share(other.root_), threads));
-  }
-
   // A new version with a prepared (see prepare_batch) batch applied in one
-  // descent of this version's tree. O(m log(n/m + 1)) work; forks across
-  // `threads` workers (0 = config().threads) only where both sides have
-  // work enough to pay for it, so a commit-sized batch forks at most once.
+  // descent of this version's tree; the batch's values win on duplicate
+  // keys. O(m log(n/m + 1)) work; forks across `threads` workers
+  // (0 = config().threads, 1 = sequential) only where both sides have work
+  // enough to pay for it, so a commit-sized batch forks at most once. The
+  // result is identical for every worker count.
   FMap multi_inserted(std::span<const Entry> batch, int threads = 0) const {
     return FMap(multi_insert(ftree::share(root_), batch, threads));
   }

@@ -7,9 +7,9 @@
 // version, in time proportional to the number freed (the tree analogue of
 // Theorem 4.2).
 //
-// Balancing is a height-balanced (AVL) join tree: `insert`, `join`, `split`
-// and `union_` all preserve the AVL invariant, so `join`-based bulk
-// operations (union / multi_insert) compose with point updates.
+// Balancing is a height-balanced (AVL) join tree: `insert`, `join`,
+// `split` and `multi_insert` all preserve the AVL invariant, so the
+// `join`-based bulk apply composes with point updates.
 // `multi_insert` applies a sorted batch PAM-style, by descending the tree
 // with it: the version is split only where the batch runs out, not once
 // per batch key, and only for hot keys. A key is hot if it is an Inner
@@ -43,10 +43,10 @@
 // return, and leave the caller to drop the input once. Reference counts
 // are atomic: snapshot holders may share/collect versions from any thread
 // concurrently with the (externally serialized) mutator, and the bulk
-// operations (`union_`, `multi_insert`, `build_sorted`) fork their
-// independent recursive calls across worker threads (MVCC_THREADS) — each
-// worker consumes or borrows a disjoint set of references, so the counts
-// stay exact. They fork only where both sides have enough estimated node
+// operations (`multi_insert`, `build_sorted`) fork their independent
+// recursive calls across worker threads (MVCC_THREADS) — each worker
+// consumes or borrows a disjoint set of references, so the counts stay
+// exact. They fork only where both sides have enough estimated node
 // copies (`batch_work`, `fork_work`), so a small commit into a big version
 // forks at most once.
 #pragma once
@@ -742,46 +742,12 @@ inline bool should_fork(int budget, std::uint64_t left_work,
   return budget > 1 && std::min(left_work, right_work) >= fork_work();
 }
 
-// Recursive core of union_ with a fork-join worker budget. The two
-// subproblems operate on key-disjoint trees (a split partitions by key and
-// these are search trees, so no node is reachable from both sides), hence
-// each branch consumes its own set of owned references and the forked task
-// never touches the caller's. The result is identical for every budget:
-// the computation DAG does not depend on execution order.
-template <class K, class V, class A>
-Node<K, V, A>* union_rec(Node<K, V, A>* a, Node<K, V, A>* b, int budget) {
-  if (a == nullptr) return b;
-  if (b == nullptr) return a;
-  Node<K, V, A>*bl, *br;
-  K bk;
-  V bv;
-  expose(b, &bl, &br, &bk, &bv);
-  SplitResult<K, V, A> s = split(a, bk);
-  if (should_fork(budget, batch_work(weight_of(bl), height_of(s.left)),
-                  batch_work(weight_of(br), height_of(s.right)))) {
-    const int lb = budget / 2;
-    const int rb = budget - lb;
-    // Fork the right subproblem onto the shared pool, recurse left on this
-    // thread; invoke2's joiner helps run queued forks, and a pool with no
-    // spawnable workers degrades to sequential self-execution — no
-    // per-site fallback needed, and no owned reference can be dropped.
-    auto [l, r] = exec::invoke2(
-        [l0 = s.left, bl, lb] { return union_rec(l0, bl, lb); },
-        [r0 = s.right, br, rb] { return union_rec(r0, br, rb); });
-    return join(l, bk, bv, r);
-  }
-  // Below the grain on one side (or out of budget): recurse in place. The
-  // budget is passed through so a lopsided split can still fork deeper
-  // down; the calls run one after the other, so concurrency never exceeds
-  // the budget.
-  return join(union_rec(s.left, bl, budget), bk, bv,
-              union_rec(s.right, br, budget));
-}
-
 // Recursive core of build_sorted with a fork-join worker budget: spreads
 // the entries evenly over `blocks` leaf blocks under a perfectly balanced
 // spine, so sibling heights differ by at most one. The two halves of the
-// span are disjoint, so the same ownership argument applies.
+// span are disjoint and each builds only its own nodes, so a forked half
+// touches no reference of the caller's, and the result is identical for
+// every budget.
 template <class K, class V, class A>
 Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
                                 std::uint64_t blocks, int budget) {
@@ -994,15 +960,17 @@ std::size_t prefetch_paths(const Node<K, V, A>* t,
 // its keys before descending. A slice that reaches a block merges into one
 // block copy stamped `seq`. Where a slice runs down to a single key above
 // the blocks, the key is lifted only if it is hot (is_hot): it is split out
-// of the subtree and joined back as its root — the shape a union with it
-// would leave — so a key written in two consecutive batches ends up nearly
-// as shallow as after a union, and stays there while it is written.
-// Zipf-hot keys thus stay near the root where reads find them fast. Any
-// other single key is rewritten inside its block by a plain path copy,
-// which keeps blocks whole under uniform writes: lifting every written key
-// would split its block and copy about two more nodes. The two children and
-// their slices are key-disjoint and the caller's reference pins both, so a
-// fork can hand each side its own subtree, as in union_rec.
+// of the subtree and joined back as its root, so a key written in two
+// consecutive batches ends up at the top of the subtree its slice reached,
+// and stays there while it is written. Zipf-hot keys thus stay near the
+// root where reads find them fast. Any other single key is rewritten
+// inside its block by a plain path copy, which keeps blocks whole under
+// uniform writes: lifting every written key would split its block and copy
+// about two more nodes. The two children and their slices are key-disjoint
+// and the caller's reference pins both, so a fork can hand each side its
+// own subtree: each side builds its own nodes and shares only nodes of its
+// own subtree, so the counts stay exact and the result does not depend on
+// execution order.
 template <class K, class V, class A>
 Node<K, V, A>* multi_insert_rec(Node<K, V, A>* t,
                                 std::span<const std::pair<K, V>> batch,
@@ -1060,19 +1028,6 @@ Node<K, V, A>* insert(Node<K, V, A>* t, const K& k, const V& v) {
   Node<K, V, A>* out = detail::insert_rec(t, k, v, 0);
   collect(t);
   return out;
-}
-
-// Union of two versions; on duplicate keys the entry from `b` wins (so
-// unioning a delta over a corpus applies the delta). Consumes both.
-// O(m log(n/m + 1)) work for |b| = m <= n = |a| — the join-tree bound.
-// The independent recursive calls are forked across `threads` workers
-// (0 = config().threads) where batch_work says both sides are worth it;
-// the resulting tree is bit-identical for every worker count.
-template <class K, class V, class A>
-Node<K, V, A>* union_(Node<K, V, A>* a, Node<K, V, A>* b, int threads = 0) {
-  const int budget = detail::bulk_budget(
-      threads, batch_work(weight_of(b), height_of(a)));
-  return detail::union_rec(a, b, budget);
 }
 
 // Builds a balanced tree over strictly increasing entries, packed into as

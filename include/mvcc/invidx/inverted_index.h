@@ -4,18 +4,18 @@
 // is itself a functional map DocId -> marker, so one version of the WHOLE
 // index is a single tree-of-trees root. Versions are published through a
 // vm/ Version Maintenance algorithm: each document batch becomes ONE
-// atomic write transaction (the writer merges per-term posting deltas over
-// the current version with `union_` and applies every touched term in one
-// parallel `multi_insert`, fork-join workers honoring MVCC_THREADS), and
+// atomic write transaction (the writer applies each touched term's doc run
+// to its current posting list with `multi_insert`, then every touched term
+// to the index in one more, fork-join workers honoring MVCC_THREADS), and
 // queries pin a version, take an O(1) snapshot, release, and intersect two
 // posting lists without ever blocking the writer. This is exactly the
 // architecture behind the paper's Tu + Tq ~ Tu+q result: updates and
 // queries share nothing but reference counts.
 //
 // Duplicate (term, doc) pairs — replayed batches, re-added documents — are
-// LAST-WRITE-WINS: a posting-list union REPLACES the doc entry rather than
-// appending, so re-applying a batch leaves every posting list (and every
-// doc_count) unchanged instead of double-counting postings.
+// LAST-WRITE-WINS: the posting-list multi_insert REPLACES the doc entry
+// rather than appending, so re-applying a batch leaves every posting list
+// (and every doc_count) unchanged instead of double-counting postings.
 //
 // Concurrency contract (inherited from vm/base.h): add_documents calls
 // must be externally serialized (single writer at a time); and_query and
@@ -112,8 +112,8 @@ class InvertedIndex {
 
   // Applies one document batch as ONE atomic write transaction on slot p:
   // every (term, doc) pair of the batch becomes visible together, or not
-  // at all. Touched posting lists get the batch's docs unioned in (last
-  // write wins on duplicates), untouched terms are shared wholesale.
+  // at all. Touched posting lists get the batch's docs applied (last write
+  // wins on duplicates), untouched terms are shared wholesale.
   void add_documents(int p, const std::vector<Document>& batch) {
     std::vector<std::pair<Term, DocId>> pairs;
     for (const Document& doc : batch) {
@@ -123,13 +123,14 @@ class InvertedIndex {
     std::sort(pairs.begin(), pairs.end());
     pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-    // Resolve the worker budget once per batch: the per-term unions below
+    // Resolve the worker budget once per batch: the per-term applies below
     // would otherwise re-read MVCC_THREADS for every touched term, right
     // on the timed writer hot path.
     const int workers = config().threads;
     Map* cur = vm_.acquire(p);
-    // Per touched term: build the posting delta, union it over the term's
-    // current posting list (delta entries replace — last write wins).
+    // Per touched term: apply its doc run over the term's current posting
+    // list (docs replace — last write wins), or build a new term's list.
+    // `pairs` is sorted and unique, so each run is already prepared.
     std::vector<typename Map::Entry> delta;
     for (std::size_t i = 0; i < pairs.size();) {
       const Term t = pairs[i].first;
@@ -137,11 +138,13 @@ class InvertedIndex {
       for (; i < pairs.size() && pairs[i].first == t; ++i) {
         docs.emplace_back(pairs[i].second, 1u);
       }
-      PostingList d = PostingList::from_entries(std::move(docs));
-      if (const PostingList* old = cur->find(t)) {
-        d = old->union_with(d, workers);
-      }
-      delta.emplace_back(t, std::move(d));
+      const PostingList* old = cur->find(t);
+      delta.emplace_back(
+          t, old != nullptr
+                 ? old->multi_inserted(
+                       std::span<const typename PostingList::Entry>(docs),
+                       workers)
+                 : PostingList::from_entries(std::move(docs)));
     }
     // `delta` is sorted by term with unique keys — already prepared — so
     // one parallel bulk multi_insert publishes the whole batch.

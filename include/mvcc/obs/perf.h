@@ -3,7 +3,7 @@
 //
 // Software metrics say what the system did; hardware counters say what it
 // cost the machine — IPC and cache behavior are where the functional
-// tree's pointer-chasing and the batching writer's bulk unions actually
+// tree's pointer-chasing and the batching writer's bulk inserts actually
 // differ. A PerfCounters instance opens one counting fd per event via
 // perf_event_open(2) with inherit=1, so threads SPAWNED AFTER the open
 // (each bench cell's workers) are aggregated into the parent's count;

@@ -133,7 +133,7 @@ TEST(FMap, UnionWithAppliesDelta) {
   SumMap delta = SumMap::from_entries(random_entries(300, 1u << 12, 7));
   const auto corpus_before = corpus.to_vector();
   const auto delta_before = delta.to_vector();
-  SumMap merged = corpus.union_with(delta);
+  SumMap merged = corpus.multi_inserted(std::span<const Entry>(delta_before));
   std::map<std::uint64_t, std::uint64_t> want;
   for (const auto& [k, v] : corpus.to_vector()) want[k] = v;
   for (const auto& [k, v] : delta.to_vector()) want[k] = v;  // delta wins

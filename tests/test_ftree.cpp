@@ -243,13 +243,15 @@ TEST(Ftree, UnionMergesAndStaysBalanced) {
     a = ftree::insert(a, k, std::uint64_t{1});
     want[k] = 1;
   }
-  N* b = nullptr;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> b;
   for (int i = 0; i < 400; ++i) {
     const std::uint64_t k = rng.next_below(6000);
-    b = ftree::insert(b, k, std::uint64_t{2});
+    b.emplace_back(k, std::uint64_t{2});
     want[k] = 2;  // b wins duplicates
   }
-  N* u = ftree::union_(a, b);
+  ftree::prepare_batch(b);
+  N* u = ftree::multi_insert(
+      a, std::span<const std::pair<std::uint64_t, std::uint64_t>>(b));
   expect_balanced(u);
   expect_matches(u, want);
   ftree::collect(u);
@@ -261,11 +263,11 @@ TEST(Ftree, RepeatedUnionsKeepBalance) {
   Xoshiro256 rng(17);
   N* acc = nullptr;
   for (int round = 0; round < 30; ++round) {
-    N* delta = nullptr;
-    for (int i = 0; i < 200; ++i) {
-      delta = ftree::insert(delta, rng(), std::uint64_t{1});
-    }
-    acc = ftree::union_(acc, delta);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> delta;
+    for (int i = 0; i < 200; ++i) delta.emplace_back(rng(), std::uint64_t{1});
+    ftree::prepare_batch(delta);
+    acc = ftree::multi_insert(
+        acc, std::span<const std::pair<std::uint64_t, std::uint64_t>>(delta));
     expect_balanced(acc);
   }
   ftree::collect(acc);
@@ -385,13 +387,12 @@ int depth_of(const N* t, std::uint64_t k) {
 TEST(Ftree, MultiInsertPutsWrittenKeysNearTheRoot) {
   // Where a slice of the batch runs down to one hot key — one the previous
   // batch wrote, or an Inner entry — multi_insert splits that key out and
-  // joins it back as the subtree's root, so it ends up shallow, close to
-  // where a union would leave it. Zipf-hot keys are written almost every
-  // batch, and this is what keeps their reads short. The same 64 keys are
-  // written in two consecutive batches. Mean depth after the second, a
-  // leaf block counting as one level: 9.1 here, 6.0 for a union of a batch
-  // tree, 12.0 for a descent that rewrites values in their blocks (what the
-  // first batch does to all but the Inner entries); the tree's height
+  // joins it back as the subtree's root, so it ends up shallow. Zipf-hot
+  // keys are written almost every batch, and this is what keeps their
+  // reads short. The same 64 keys are written in two consecutive batches.
+  // Mean depth after the second, a leaf block counting as one level: 9.1
+  // here, 12.0 for a descent that rewrites values in their blocks (what
+  // the first batch does to all but the Inner entries); the tree's height
   // is 13.
   const long long base_live = ftree::live_nodes();
   {
@@ -563,17 +564,21 @@ TEST(Ftree, ParallelUnionBitIdenticalToSequential) {
   {
     Xoshiro256 rng(23);
     N* a = make_random_tree(rng, 20000, std::uint64_t{1} << 40);
-    N* b = make_random_tree(rng, 6000, std::uint64_t{1} << 40);
-    N* seq = ftree::union_(ftree::share(a), ftree::share(b), 1);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> b;
+    for (int i = 0; i < 6000; ++i) {
+      b.emplace_back(rng.next_below(std::uint64_t{1} << 40), rng());
+    }
+    ftree::prepare_batch(b);
+    const std::span<const std::pair<std::uint64_t, std::uint64_t>> sp(b);
+    N* seq = ftree::multi_insert(ftree::share(a), sp, 1);
     expect_balanced(seq);
     for (int threads : {2, 4, 8}) {
-      N* par = ftree::union_(ftree::share(a), ftree::share(b), threads);
+      N* par = ftree::multi_insert(ftree::share(a), sp, threads);
       expect_identical(seq, par);
       ftree::collect(par);
     }
     ftree::collect(seq);
     ftree::collect(a);
-    ftree::collect(b);
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
@@ -607,10 +612,9 @@ TEST(Ftree, ParallelBuildSortedAndMultiInsertBitIdentical) {
 }
 
 TEST(Ftree, ParallelUnionRefcountsExactWithSharedInputs) {
-  // Parallel unions and multi_inserts over inputs shared with live
-  // versions: the forked workers consume disjoint owned references, so the
-  // counts stay exact — the survivors keep their content and the counter
-  // returns to baseline.
+  // Parallel multi_inserts over an input shared with a live version: the
+  // forked workers borrow disjoint subtrees, so the counts stay exact —
+  // the survivors keep their content and the counter returns to baseline.
   const long long base_live = ftree::live_nodes();
   {
     Xoshiro256 rng(31);
@@ -629,11 +633,6 @@ TEST(Ftree, ParallelUnionRefcountsExactWithSharedInputs) {
     });
     const std::span<const std::pair<std::uint64_t, std::uint64_t>> sp(batch);
     for (int round = 0; round < 4; ++round) {
-      N* u1 = ftree::union_(ftree::share(a), ftree::share(b), 4);
-      N* u2 = ftree::union_(ftree::share(a), ftree::share(b), 4);
-      expect_identical(u1, u2);
-      ftree::collect(u1);
-      ftree::collect(u2);
       N* m1 = ftree::multi_insert(ftree::share(a), sp, 4);
       N* m2 = ftree::multi_insert(ftree::share(a), sp, 4);
       expect_identical(m1, m2);
@@ -649,13 +648,14 @@ TEST(Ftree, ParallelUnionRefcountsExactWithSharedInputs) {
 }
 
 // Exactness canary for the expose/collect interleaving the version layers
-// rely on: a writer unions deltas over the current version while OTHER
-// threads collect retired versions whose trees share nodes with the one
-// being exposed. expose must not ignore the result of its decrement — if a
-// concurrent collect releases the second-to-last reference between
-// expose's load and its fetch_sub, expose now holds the last one, and
-// dropping it blindly would leak the node and strand a count on each
-// child. The counter returning to baseline proves no interleaving did.
+// rely on: a writer lifts keys into the current version with split + join
+// (the hot-key lift's own calls) while OTHER threads collect retired
+// versions whose trees share nodes with the one being exposed. expose must
+// not ignore the result of its decrement — if a concurrent collect
+// releases the second-to-last reference between expose's load and its
+// fetch_sub, expose now holds the last one, and dropping it blindly would
+// leak the node and strand a count on each child. The counter returning to
+// baseline proves no interleaving did.
 TEST(Ftree, ExposeExactUnderConcurrentVersionChurn) {
   const long long base_live = ftree::live_nodes();
   {
@@ -687,14 +687,18 @@ TEST(Ftree, ExposeExactUnderConcurrentVersionChurn) {
     }
     Xoshiro256 rng(41);
     for (int i = 0; i < 30000; ++i) {
-      N* delta = nullptr;
-      for (int j = 0; j < 6; ++j) {
-        delta = ftree::insert(delta, rng.next_below(1 << 14), rng());
-      }
-      N* next = ftree::union_(ftree::share(cur), delta, 1);
+      N* next = ftree::share(cur);
       {
+        // The old version dies on a collector while the splits below
+        // expose its nodes, so the writer's reference can turn out to be
+        // the last one in the middle of an expose.
         std::lock_guard<std::mutex> g(mu);
-        retired.push_back(cur);  // the old version dies on a collector
+        retired.push_back(cur);
+      }
+      for (int j = 0; j < 6; ++j) {
+        const std::uint64_t k = rng.next_below(1 << 14);
+        auto s = ftree::split(next, k);
+        next = ftree::join(s.left, k, rng(), s.right);
       }
       cur = next;
     }
@@ -777,15 +781,15 @@ void expect_sum_tree(const S* t, const Model& want, Xoshiro256& rng,
 }
 
 TEST(Ftree, BlockedLayoutHoldsUnderEveryUpdate) {
-  // Random rounds of every update — multi_insert and union_ at 1 and 4
-  // workers, split + join, insert, build_sorted — against a std::map
-  // model, then rounds of multi_inserts that rewrite a hot key set in
-  // consecutive batches, so hot keys are lifted to subtree roots under
-  // forks. Each round keeps the previous version alive across the update,
-  // checks both (the old one must be untouched), then drops the old one:
-  // the exact-reachability oracle says the live nodes are exactly those
-  // reachable from the versions held, and the drop frees exactly the old
-  // version's nodes that the new one does not share.
+  // Random rounds of every update — multi_insert at 1 and 4 workers, split
+  // + join, insert, build_sorted — against a std::map model, then rounds
+  // of multi_inserts that rewrite a hot key set in consecutive batches, so
+  // hot keys are lifted to subtree roots under forks. Each round keeps the
+  // previous version alive across the update, checks both (the old one
+  // must be untouched), then drops the old one: the exact-reachability
+  // oracle says the live nodes are exactly those reachable from the
+  // versions held, and the drop frees exactly the old version's nodes that
+  // the new one does not share.
   const long long base_live = ftree::live_nodes();
   // Drops `prev`, which must free exactly its nodes that `t` does not
   // share, leaving live exactly the nodes reachable from `t`.
@@ -829,11 +833,7 @@ TEST(Ftree, BlockedLayoutHoldsUnderEveryUpdate) {
         }
         case 1: {
           const Batch b = random_batch(1 + rng.next_below(300));
-          t = ftree::union_(
-              t,
-              ftree::build_sorted<std::uint64_t, std::uint64_t, SumAug>(
-                  BatchSpan(b), 1),
-              threads);
+          t = ftree::multi_insert(t, BatchSpan(b), threads);
           for (const auto& [k, v] : b) want[k] = v;
           break;
         }

@@ -387,9 +387,9 @@ TEST(InvidxStress, ReaderSnapshotsAreMonotone) {
 }
 
 // Batches large enough to cross the fork-join grain: the bulk apply path
-// runs parallel build_sorted + union_ (MVCC_THREADS workers) while reader
-// threads concurrently snapshot and drop versions — the exact interleaving
-// the refcount audit must survive. Runs under TSan in CI.
+// runs parallel build_sorted + multi_insert (MVCC_THREADS workers) while
+// reader threads concurrently snapshot and drop versions — the exact
+// interleaving the refcount audit must survive. Runs under TSan in CI.
 TEST(InvidxStress, ParallelBulkApplyUnderConcurrentSnapshots) {
   const long long base_live = ftree::live_nodes();
   {

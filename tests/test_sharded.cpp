@@ -1,23 +1,21 @@
 // Tests for the sharded multi-writer front-end (txn/sharded.h): key
 // routing, per-shard commit accounting, the cross-shard snapshot protocol
 // (version vectors never observe a torn multi-shard commit), atomic
-// multi_upsert_sync spanning shards, the MVCC_SHARDS latch, and the
-// partitioned YCSB driver. Every suite name starts with "Sharded" so CI's
-// TSan job selects this tier with -R '...|Sharded'; the stress tests are
-// the ones that must be TSan-clean. Every test checks ftree::live_nodes()
-// returns to baseline after teardown — per-shard precise freed-set
-// accounting must survive the scale-out.
+// multi_upsert_sync spanning shards, and the partitioned YCSB driver.
+// Every suite name starts with "Sharded" so CI's TSan job selects this
+// tier with -R '...|Sharded'; the stress tests are the ones that must be
+// TSan-clean. Every test checks ftree::live_nodes() returns to baseline
+// after teardown — per-shard precise freed-set accounting must survive the
+// scale-out.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "mvcc/common/env.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/obs/obs.h"
 #include "mvcc/txn/sharded.h"
@@ -359,39 +357,6 @@ TEST(ShardedMetrics, RegistryExportsPerShardAndSnapshotCounters) {
     }
   }
   obs::set_enabled(false);
-  EXPECT_EQ(ftree::live_nodes(), base_live);
-}
-
-// ---------------------------------------------------------------------------
-// The MVCC_SHARDS latch (satellite: reload_config must not let the shard
-// topology mismatch mid-process).
-
-TEST(ShardedConfig, ShardCountLatchesAtFirstDefaultConstruction) {
-  const long long base_live = ftree::live_nodes();
-  ASSERT_EQ(setenv("MVCC_SHARDS", "3", 1), 0);
-  reload_config();
-  EXPECT_EQ(config().shards, 3);
-  {
-    PswfSharded first(1);  // shards=0: sizes from config, latches 3
-    EXPECT_EQ(first.shard_count(), 3);
-    EXPECT_EQ(txn::latched_shard_count(), 3);
-
-    // A reload after the latch changes config() but NOT the latched count:
-    // new default-sized maps keep the first topology.
-    ASSERT_EQ(setenv("MVCC_SHARDS", "7", 1), 0);
-    reload_config();
-    EXPECT_EQ(config().shards, 7);
-    EXPECT_EQ(txn::latched_shard_count(), 3);
-    PswfSharded second(1);
-    EXPECT_EQ(second.shard_count(), 3);
-
-    // Explicit counts bypass the latch without disturbing it.
-    PswfSharded forced(1, {}, /*shards=*/5);
-    EXPECT_EQ(forced.shard_count(), 5);
-    EXPECT_EQ(txn::latched_shard_count(), 3);
-  }
-  ASSERT_EQ(unsetenv("MVCC_SHARDS"), 0);
-  reload_config();
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
