@@ -97,12 +97,10 @@ void BM_TreeCollectOneVersionOfMany(benchmark::State& state) {
   ftree::collect(base);
 }
 
-// Deterministic precise-GC self-check, printed after the benchmarks for
-// the CI allocator A/B harness: a default (slab) run and an
-// MVCC_ALLOC=malloc run of this binary must report the exact same freed
-// count and final live count — the freed SET is allocator-invariant, only
-// where the storage goes differs. The exact-reachability oracle's count of
-// the nodes both versions reach is printed beside it: freed must equal it.
+// Deterministic precise-GC self-check, printed after the benchmarks and
+// gated in CI: dropping two versions that share structure must free
+// exactly the nodes the exact-reachability oracle counts from both
+// (freed == reachable), and leave no node live (live == 0).
 void print_selfcheck() {
   using N = ftree::Node<std::uint64_t, std::uint64_t>;
   constexpr std::uint64_t kMod = 100003;

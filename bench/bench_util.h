@@ -110,13 +110,8 @@ inline double warmup_seconds() {
   return std::max(env_double("MVCC_WARMUP_SECONDS", 0.1), 0.0);
 }
 
-// Ceiling on any thread count read from the environment. A count is sized
-// into vectors and narrowed to int, so an absurd or overflowing value must
-// not reach vector::reserve or wrap negative.
-inline constexpr long kMaxThreadKnob = 1024;
-
 // A thread-count knob: `def` when unset or malformed, otherwise clamped to
-// [1, kMaxThreadKnob].
+// [1, kMaxThreadKnob] (common/env.h).
 inline int thread_knob(const char* name, int def) {
   return static_cast<int>(std::clamp(env_long(name, def), 1L, kMaxThreadKnob));
 }

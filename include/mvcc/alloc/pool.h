@@ -21,10 +21,9 @@
 //                free cheap: blocks freed on thread B flow back to
 //                allocating thread A a magazine at a time.
 //   Slabs        when the depot is dry too, the owning size class carves
-//                a fresh magazine's worth of blocks out of a slab
-//                (MVCC_SLAB_BYTES, default 64 KiB) obtained from
-//                operator new. Slabs are never returned to the OS while
-//                the pool lives — blocks recirculate.
+//                a fresh magazine's worth of blocks out of a 64 KiB slab
+//                (Config::slab_bytes) obtained from operator new. Slabs
+//                are never returned to the OS — blocks recirculate.
 //
 // The depot stacks are Treiber stacks made ABA-safe by indirection:
 // magazines live in a grow-only chunked table and the stack head packs
@@ -34,21 +33,19 @@
 // publishes a magazine's (plain, non-atomic) count/items to its next
 // owner.
 //
-// Routing: allocate()/deallocate() free functions check pooled() — the
-// MVCC_ALLOC knob resolved ONCE per process, so an allocate can never be
-// paired with a differently-routed deallocate — and fall back to plain
-// operator new/delete for "malloc" mode or blocks larger than
-// kMaxBlockBytes. Under AddressSanitizer every pooled block is poisoned
-// while it sits free, so a use-after-free into the pool faults exactly
-// like a heap use-after-free would.
+// Routing: there is one pool, Pool::instance(), immortal so that a late
+// thread exit can always flush into it. allocate()/deallocate() send every
+// block of up to kMaxBlockBytes there; only larger blocks take plain
+// operator new/delete. Under AddressSanitizer every pooled block is
+// poisoned while it sits free, so a use-after-free into the pool faults
+// exactly like a heap use-after-free would.
 //
 // Telemetry (obs/ registry, touched only under obs::enabled()):
-//   alloc/slabs_live       slabs currently backing the pools
+//   alloc/slabs_live       slabs currently backing the pool
 //   alloc/cache_hits       allocations served by a thread-local magazine
 //   alloc/depot_transfers  whole-magazine moves between caches and depot
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -56,26 +53,25 @@
 #include <mutex>
 #include <new>
 #include <utility>
-#include <vector>
 
 #include "mvcc/common/env.h"
 #include "mvcc/obs/obs.h"
 
 #if defined(__SANITIZE_ADDRESS__)
-#define MVCC_ALLOC_ASAN 1
+#define MVCC_POOL_ASAN 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define MVCC_ALLOC_ASAN 1
+#define MVCC_POOL_ASAN 1
 #endif
 #endif
 
-#ifdef MVCC_ALLOC_ASAN
+#ifdef MVCC_POOL_ASAN
 #include <sanitizer/asan_interface.h>
-#define MVCC_ALLOC_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
-#define MVCC_ALLOC_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
+#define MVCC_POOL_POISON(p, n) ASAN_POISON_MEMORY_REGION((p), (n))
+#define MVCC_POOL_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION((p), (n))
 #else
-#define MVCC_ALLOC_POISON(p, n) ((void)0)
-#define MVCC_ALLOC_UNPOISON(p, n) ((void)0)
+#define MVCC_POOL_POISON(p, n) ((void)0)
+#define MVCC_POOL_UNPOISON(p, n) ((void)0)
 #endif
 
 namespace mvcc::alloc {
@@ -111,9 +107,9 @@ struct AllocStats {
   }
 };
 
-// Slabs currently live across every Pool, maintained unconditionally (one
-// relaxed add per SLAB, nowhere near a hot path) so the footprint sampler
-// can plot pooled memory growth without obs on.
+// Slabs the pool has carved, maintained unconditionally (one relaxed add
+// per SLAB, nowhere near a hot path) so the footprint sampler can plot
+// pooled memory growth without obs on.
 inline std::atomic<std::int64_t> g_slabs_live{0};
 
 // Registers the slab-count probe with the obs sampler. Idempotent; called
@@ -123,8 +119,6 @@ inline void register_alloc_probes() {
     return g_slabs_live.load(std::memory_order_relaxed);
   });
 }
-
-class Pool;
 
 namespace detail {
 
@@ -138,42 +132,10 @@ inline constexpr std::uint32_t kNoneIdx = 0xffffffffu;
 // magazine may still be re-linked by a competing pop's retry.
 struct Magazine {
   std::atomic<std::uint32_t> next{kNoneIdx};
-  std::uint32_t self = kNoneIdx;  // index in the owning pool's table
+  std::uint32_t self = kNoneIdx;  // index in the pool's table
   std::uint32_t count = 0;
   void* items[kMagazineSize];
 };
-
-// One thread's magazine pair for every size class of one Pool. Nodes are
-// heap-allocated, linked into the thread's cache list (below), and flushed
-// back to the owner's depot when the thread exits.
-struct ThreadCache {
-  struct Slot {
-    Magazine* loaded = nullptr;
-    Magazine* previous = nullptr;
-  };
-
-  Pool* owner = nullptr;  // nulled if the pool dies first
-  ThreadCache* next = nullptr;
-  Slot cls[kNumClasses];
-};
-
-// Coordinates thread-exit cache flushes against ~Pool. Immortal (never
-// destroyed) so a late-exiting thread can always take it, whatever order
-// static destruction picks.
-inline std::mutex& registry_mutex() {
-  static std::mutex* m = new std::mutex;
-  return *m;
-}
-
-struct ThreadCacheList {
-  ThreadCache* head = nullptr;
-  ~ThreadCacheList();  // defined after Pool: flushes into the owners
-};
-
-inline ThreadCacheList& tl_caches() {
-  thread_local ThreadCacheList list;
-  return list;
-}
 
 }  // namespace detail
 
@@ -181,40 +143,11 @@ class Pool {
  public:
   struct Stats {
     std::int64_t slabs = 0;
-    std::int64_t magazines = 0;
     std::int64_t depot_transfers = 0;
   };
 
-  // 0 = take the MVCC_SLAB_BYTES knob from config(). The floor keeps a
-  // slab big enough to carve whole magazines of the largest class.
-  explicit Pool(std::size_t slab_bytes = 0)
-      : slab_bytes_(
-            std::max<std::size_t>(slab_bytes != 0 ? slab_bytes
-                                                  : config().slab_bytes,
-                                  std::size_t{1} << 12)) {}
-
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
-
-  // Destroying a pool invalidates every block it ever handed out. Caches
-  // registered by still-live threads are detached (their flush becomes a
-  // no-op) — used by tests; the process-wide instance() is never destroyed.
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(detail::registry_mutex());
-      for (detail::ThreadCache* c : caches_) c->owner = nullptr;
-      caches_.clear();
-    }
-    for (std::atomic<detail::Magazine*>& chunk : chunks_) {
-      delete[] chunk.load(std::memory_order_relaxed);
-    }
-    for (void* slab : slabs_) {
-      MVCC_ALLOC_UNPOISON(slab, slab_bytes_);
-      ::operator delete(slab);
-    }
-    g_slabs_live.fetch_sub(static_cast<std::int64_t>(slabs_.size()),
-                           std::memory_order_relaxed);
-  }
 
   // The process-wide pool every subsystem allocates from. Immortal (built
   // with new, never destroyed): worker threads and thread caches may
@@ -228,19 +161,19 @@ class Pool {
   void* allocate(std::size_t bytes) {
     assert(bytes > 0 && bytes <= kMaxBlockBytes);
     const std::size_t ci = size_class(bytes);
-    detail::ThreadCache::Slot& slot = local_cache().cls[ci];
+    ThreadCache::Slot& slot = local_cache().cls[ci];
     detail::Magazine* m = slot.loaded;
     if (m != nullptr && m->count > 0) {
       if (obs::enabled()) AllocStats::get().cache_hits.add();
       void* p = m->items[--m->count];
-      MVCC_ALLOC_UNPOISON(p, class_bytes(ci));
+      MVCC_POOL_UNPOISON(p, class_bytes(ci));
       return p;
     }
     if (slot.previous != nullptr && slot.previous->count > 0) {
       std::swap(slot.loaded, slot.previous);
       if (obs::enabled()) AllocStats::get().cache_hits.add();
       void* p = slot.loaded->items[--slot.loaded->count];
-      MVCC_ALLOC_UNPOISON(p, class_bytes(ci));
+      MVCC_POOL_UNPOISON(p, class_bytes(ci));
       return p;
     }
     return allocate_slow(ci, slot);
@@ -249,7 +182,7 @@ class Pool {
   void deallocate(void* p, std::size_t bytes) {
     assert(p != nullptr && bytes > 0 && bytes <= kMaxBlockBytes);
     const std::size_t ci = size_class(bytes);
-    detail::ThreadCache::Slot& slot = local_cache().cls[ci];
+    ThreadCache::Slot& slot = local_cache().cls[ci];
     push_free(ci, slot, p);
   }
 
@@ -261,22 +194,34 @@ class Pool {
     if (n == 0) return;
     assert(bytes > 0 && bytes <= kMaxBlockBytes);
     const std::size_t ci = size_class(bytes);
-    detail::ThreadCache::Slot& slot = local_cache().cls[ci];
+    ThreadCache::Slot& slot = local_cache().cls[ci];
     for (std::size_t i = 0; i < n; ++i) push_free(ci, slot, blocks[i]);
   }
 
   Stats stats() const {
     Stats s;
-    s.slabs = slab_count_.load(std::memory_order_relaxed);
-    s.magazines = magazine_count_.load(std::memory_order_relaxed);
+    s.slabs = g_slabs_live.load(std::memory_order_relaxed);
     s.depot_transfers = transfer_count_.load(std::memory_order_relaxed);
     return s;
   }
 
-  std::size_t slab_bytes() const { return slab_bytes_; }
+  static constexpr std::size_t slab_bytes() { return Config::slab_bytes; }
 
  private:
-  friend struct detail::ThreadCacheList;
+  Pool() = default;
+
+  // One thread's magazine pair for every size class. At thread exit its
+  // magazines go back to the depot, so their blocks stay allocatable.
+  struct ThreadCache {
+    struct Slot {
+      detail::Magazine* loaded = nullptr;
+      detail::Magazine* previous = nullptr;
+    };
+
+    Slot cls[kNumClasses];
+
+    ~ThreadCache() { instance().flush_cache(*this); }
+  };
 
   // ABA-safe Treiber stack of magazine INDICES: the head packs
   // {tag, index}, and the tag advances on every successful CAS, so a
@@ -357,39 +302,16 @@ class Pool {
                            std::memory_order_release);
     }
     ++magazine_next_;
-    magazine_count_.fetch_add(1, std::memory_order_relaxed);
     mag(idx).self = idx;
     return idx;
   }
 
-  detail::ThreadCache& local_cache() {
-    // One-entry lookaside: almost every call in a process uses instance().
-    // The owner check guards against a dead pool's address being reused by
-    // a new Pool (sequential stack-allocated pools in tests): ~Pool nulls
-    // each cache's owner, and the cache object itself is owned by the
-    // thread's list, so it stays dereferenceable until thread exit.
-    thread_local Pool* last_pool = nullptr;
-    thread_local detail::ThreadCache* last_cache = nullptr;
-    if (last_pool == this && last_cache->owner == this) return *last_cache;
-    detail::ThreadCacheList& list = detail::tl_caches();
-    detail::ThreadCache* c = list.head;
-    while (c != nullptr && c->owner != this) c = c->next;
-    if (c == nullptr) {
-      c = new detail::ThreadCache;
-      c->owner = this;
-      {
-        std::lock_guard<std::mutex> lock(detail::registry_mutex());
-        caches_.push_back(c);
-      }
-      c->next = list.head;
-      list.head = c;
-    }
-    last_pool = this;
-    last_cache = c;
-    return *c;
+  static ThreadCache& local_cache() {
+    thread_local ThreadCache cache;
+    return cache;
   }
 
-  void* allocate_slow(std::size_t ci, detail::ThreadCache::Slot& slot) {
+  void* allocate_slow(std::size_t ci, ThreadCache::Slot& slot) {
     SizeClass& sc = classes_[ci];
     // Exchange with the depot: retire the dry loaded magazine, take a full
     // one. One CAS each way moves kMagazineSize blocks.
@@ -399,23 +321,29 @@ class Pool {
         sc.empty.push(*this, slot.loaded->self);
       }
       slot.loaded = &mag(full);
-      note_transfer(1);
+      note_transfer();
       void* p = slot.loaded->items[--slot.loaded->count];
-      MVCC_ALLOC_UNPOISON(p, class_bytes(ci));
+      MVCC_POOL_UNPOISON(p, class_bytes(ci));
       return p;
     }
     // Depot dry: carve a magazine's worth of fresh blocks from the slab.
     detail::Magazine* m = slot.loaded;
     if (m == nullptr) {
-      const std::uint32_t e = sc.empty.pop(*this);
-      m = e != detail::kNoneIdx ? &mag(e) : &mag(create_magazine());
-      m->count = 0;
+      m = &take_empty(sc);
       slot.loaded = m;
     }
     carve(ci, sc, *m);
     void* p = m->items[--m->count];
-    MVCC_ALLOC_UNPOISON(p, class_bytes(ci));
+    MVCC_POOL_UNPOISON(p, class_bytes(ci));
     return p;
+  }
+
+  // An empty magazine from the depot, or a new one.
+  detail::Magazine& take_empty(SizeClass& sc) {
+    const std::uint32_t e = sc.empty.pop(*this);
+    detail::Magazine& m = mag(e != detail::kNoneIdx ? e : create_magazine());
+    m.count = 0;
+    return m;
   }
 
   void carve(std::size_t ci, SizeClass& sc, detail::Magazine& m) {
@@ -424,26 +352,21 @@ class Pool {
     while (m.count < kMagazineSize) {
       if (sc.cur == nullptr ||
           static_cast<std::size_t>(sc.end - sc.cur) < bs) {
-        char* slab = static_cast<char*>(::operator new(slab_bytes_));
-        {
-          std::lock_guard<std::mutex> slock(slabs_mu_);
-          slabs_.push_back(slab);
-        }
+        char* slab = static_cast<char*>(::operator new(Config::slab_bytes));
         sc.cur = slab;
-        sc.end = slab + slab_bytes_;
-        slab_count_.fetch_add(1, std::memory_order_relaxed);
+        sc.end = slab + Config::slab_bytes;
         const std::int64_t live =
             g_slabs_live.fetch_add(1, std::memory_order_relaxed) + 1;
         if (obs::enabled()) AllocStats::get().slabs_live.set(live);
       }
       m.items[m.count++] = sc.cur;
-      MVCC_ALLOC_POISON(sc.cur, bs);
+      MVCC_POOL_POISON(sc.cur, bs);
       sc.cur += bs;
     }
   }
 
-  void push_free(std::size_t ci, detail::ThreadCache::Slot& slot, void* p) {
-    MVCC_ALLOC_POISON(p, class_bytes(ci));
+  void push_free(std::size_t ci, ThreadCache::Slot& slot, void* p) {
+    MVCC_POOL_POISON(p, class_bytes(ci));
     detail::Magazine* m = slot.loaded;
     if (m != nullptr && m->count < kMagazineSize) {
       m->items[m->count++] = p;
@@ -452,8 +375,7 @@ class Pool {
     push_free_slow(ci, slot, p);
   }
 
-  void push_free_slow(std::size_t ci, detail::ThreadCache::Slot& slot,
-                      void* p) {
+  void push_free_slow(std::size_t ci, ThreadCache::Slot& slot, void* p) {
     if (slot.previous != nullptr && slot.previous->count < kMagazineSize) {
       std::swap(slot.loaded, slot.previous);
       slot.loaded->items[slot.loaded->count++] = p;
@@ -464,27 +386,22 @@ class Pool {
     // depot, shift `loaded` down, install an empty magazine on top.
     if (slot.previous != nullptr) {
       sc.full.push(*this, slot.previous->self);
-      note_transfer(1);
+      note_transfer();
     }
     slot.previous = slot.loaded;
-    const std::uint32_t e = sc.empty.pop(*this);
-    detail::Magazine* m =
-        e != detail::kNoneIdx ? &mag(e) : &mag(create_magazine());
-    m->count = 0;
-    slot.loaded = m;
-    m->items[m->count++] = p;
+    slot.loaded = &take_empty(sc);
+    slot.loaded->items[slot.loaded->count++] = p;
   }
 
-  // Thread exit: park the cache's magazines back in the depot so their
-  // blocks stay allocatable. Called under registry_mutex().
-  void flush_cache(detail::ThreadCache& cache) {
+  // Thread exit: park the cache's magazines back in the depot.
+  void flush_cache(ThreadCache& cache) {
     for (std::size_t ci = 0; ci < kNumClasses; ++ci) {
       for (detail::Magazine* m :
            {cache.cls[ci].loaded, cache.cls[ci].previous}) {
         if (m == nullptr) continue;
         if (m->count > 0) {
           classes_[ci].full.push(*this, m->self);
-          note_transfer(1);
+          note_transfer();
         } else {
           classes_[ci].empty.push(*this, m->self);
         }
@@ -492,83 +409,34 @@ class Pool {
       cache.cls[ci].loaded = nullptr;
       cache.cls[ci].previous = nullptr;
     }
-    for (std::size_t i = 0; i < caches_.size(); ++i) {
-      if (caches_[i] == &cache) {
-        caches_[i] = caches_.back();
-        caches_.pop_back();
-        break;
-      }
-    }
   }
 
-  void note_transfer(std::int64_t n) {
-    transfer_count_.fetch_add(n, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      AllocStats::get().depot_transfers.add(static_cast<std::uint64_t>(n));
-    }
+  void note_transfer() {
+    transfer_count_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::enabled()) AllocStats::get().depot_transfers.add();
   }
 
-  const std::size_t slab_bytes_;
   SizeClass classes_[kNumClasses];
   std::atomic<detail::Magazine*> chunks_[kMaxChunks] = {};
   std::mutex table_mu_;
-  std::uint32_t magazine_next_ = 0;
-  std::mutex slabs_mu_;
-  std::vector<void*> slabs_;
-  std::vector<detail::ThreadCache*> caches_;  // under registry_mutex()
-  std::atomic<std::int64_t> slab_count_{0};
-  std::atomic<std::int64_t> magazine_count_{0};
+  std::uint32_t magazine_next_ = 0;  // under table_mu_
   std::atomic<std::int64_t> transfer_count_{0};
 };
 
-namespace detail {
-
-inline ThreadCacheList::~ThreadCacheList() {
-  std::lock_guard<std::mutex> lock(registry_mutex());
-  ThreadCache* c = head;
-  while (c != nullptr) {
-    ThreadCache* next = c->next;
-    if (c->owner != nullptr) c->owner->flush_cache(*c);
-    delete c;
-    c = next;
-  }
-  head = nullptr;
-}
-
-// -1 = unresolved. The MVCC_ALLOC route latches at the first allocation
-// and never flips afterwards: a block must be freed by the same policy
-// that allocated it.
-inline std::atomic<int>& pooled_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-
-}  // namespace detail
-
-// Whether fixed-size blocks route through the slab pool (MVCC_ALLOC
-// unset/"slab") or plain operator new/delete ("malloc" — the A/B
-// fallback). Resolved once per process.
-inline bool pooled() {
-  int v = detail::pooled_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = config().alloc_pooled ? 1 : 0;
-    detail::pooled_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
+// Always true: every block of up to kMaxBlockBytes routes through the slab
+// pool. Kept for the repository benchmark client, which reports it.
+constexpr bool pooled() { return true; }
 
 // --- Routing front: the allocation API the subsystems consume --------------
 
 inline void* allocate(std::size_t bytes) {
-  if (bytes == 0 || bytes > kMaxBlockBytes || !pooled()) {
-    return ::operator new(bytes);
-  }
+  if (bytes == 0 || bytes > kMaxBlockBytes) return ::operator new(bytes);
   return Pool::instance().allocate(bytes);
 }
 
 inline void deallocate(void* p, std::size_t bytes) {
   if (p == nullptr) return;
-  if (bytes == 0 || bytes > kMaxBlockBytes || !pooled()) {
+  if (bytes == 0 || bytes > kMaxBlockBytes) {
     ::operator delete(p);
     return;
   }
@@ -580,7 +448,7 @@ inline void deallocate(void* p, std::size_t bytes) {
 inline void deallocate_batch(void* const* blocks, std::size_t n,
                              std::size_t bytes) {
   if (n == 0) return;
-  if (bytes == 0 || bytes > kMaxBlockBytes || !pooled()) {
+  if (bytes == 0 || bytes > kMaxBlockBytes) {
     for (std::size_t i = 0; i < n; ++i) ::operator delete(blocks[i]);
     return;
   }

@@ -1,16 +1,14 @@
-// The single reclamation seam for exact freed sets.
+// The reclamation seam for the exact freed sets a commit retires.
 //
 // A version manager (vm/) hands its client the exact set of payloads an
-// operation proved unreachable; the client disposes of them here. Every
-// call site hands over (1) the batch, (2) a LANE — free it on the calling
-// thread, or on the exec/ pool's background defer lane — and (3) a
-// DISPOSE policy — operator delete or return-to-pool.
+// operation proved unreachable. A commit disposes of its set here, through
+// alloc::destroy, on one of two lanes: the calling thread, or the exec/
+// pool's background defer lane, picked from the commit's size. Reader
+// releases and the inverted index call alloc::destroy inline themselves.
 //
 // The background lane holds at most one batch: a batch handed to it while
 // an earlier one is still unfreed is freed inline instead, so a slow
-// worker cannot grow the heap without bound. Reader releases and the
-// inverted index free inline; a commit picks its lane in reclaim_retired,
-// from its own size.
+// worker cannot grow the heap without bound.
 //
 // reclaim_queue_depth() counts payloads published-but-unfreed (the
 // sampler's reclaim/queue_depth column), every deferred batch runs under a
@@ -34,25 +32,6 @@
 
 namespace mvcc::alloc {
 
-// Where a freed set's destructors run: on the calling thread, or on the
-// exec/ pool's lower-priority defer lane (off the commit path).
-enum class ReclaimLane { kInline, kBackground };
-
-// How a dead payload is disposed of once its lane runs it.
-struct DeleteDispose {
-  template <class T>
-  void operator()(T* p) const {
-    delete p;
-  }
-};
-
-struct PoolDispose {
-  template <class T>
-  void operator()(T* p) const {
-    destroy(p);
-  }
-};
-
 // Payloads published to the background lane and not yet freed; nonzero
 // means the lane is busy. Maintained unconditionally (two relaxed RMWs per
 // deferred BATCH, off every hot path).
@@ -72,53 +51,41 @@ struct ReclaimStats {
   }
 };
 
-// Disposes of an exact freed set on the given lane (inline if the
-// background lane is busy). Takes the vector by value so call sites pass a
-// VM return directly: `reclaim_batch(vm.release(p), lane)`.
-template <class T, class Dispose = DeleteDispose>
-void reclaim_batch(std::vector<T*> dead, ReclaimLane lane,
-                   Dispose dispose = {}) {
+// Disposes of the versions a commit retired. `work` estimates the nodes
+// the commit copied, which is about what freeing its retired version
+// visits. From 2 * config().grain (4096 at the default grain) the set goes
+// to the background lane, unless that lane still holds a batch: on the
+// repository benchmark that takes write-stream's commits of about 500 ops
+// and up (~7k nodes freed per commit on average), which were faster there
+// with the per-key node layout and measured no slower with leaf blocks,
+// and leaves its snapshot-read commits (~0.7k nodes) inline, which is
+// faster for them. Read on every call, so tests can move the threshold
+// through config().grain. Takes the vector by value so a caller passes a
+// VM return directly.
+template <class T>
+void reclaim_retired(std::vector<T*> dead, std::uint64_t work) {
   if (dead.empty()) return;
   // Claim the lane only while it is empty, counting the batch in the same
   // step, so concurrent callers still leave at most one batch pending.
   const auto n = static_cast<std::int64_t>(dead.size());
   std::int64_t idle = 0;
-  if (lane == ReclaimLane::kInline ||
+  if (work < 2 * static_cast<std::uint64_t>(config().grain) ||
       !reclaim_queue_depth().compare_exchange_strong(
           idle, n, std::memory_order_relaxed)) {
-    for (T* p : dead) dispose(p);
+    for (T* p : dead) destroy(p);
     return;
   }
   if (obs::enabled()) {
     ReclaimStats::get().deferred.add(static_cast<std::uint64_t>(n));
     ReclaimStats::get().queue_depth_hwm.update_max(n);
   }
-  exec::Pool::instance().defer([batch = std::move(dead), dispose] {
+  exec::Pool::instance().defer([batch = std::move(dead)] {
     obs::TraceSpan span("reclaim/batch_free",
                         static_cast<std::uint64_t>(batch.size()));
-    for (T* p : batch) dispose(p);
+    for (T* p : batch) destroy(p);
     reclaim_queue_depth().fetch_sub(static_cast<std::int64_t>(batch.size()),
                                     std::memory_order_relaxed);
   });
-}
-
-// Disposes of the versions a commit retired. `work` estimates the nodes
-// the commit copied, which is about what freeing its retired version
-// visits. From 2 * config().grain (4096 at the default grain) the set goes
-// to the background lane: on the repository benchmark that takes
-// write-stream's commits of about 500 ops and up (~7k nodes freed per
-// commit on average), which were faster there with the per-key node
-// layout and measured no slower with leaf blocks, and leaves its
-// snapshot-read commits (~0.7k nodes) inline, which is faster for them.
-// Read on every call, so tests can move the threshold through
-// config().grain.
-template <class T, class Dispose = DeleteDispose>
-void reclaim_retired(std::vector<T*> dead, std::uint64_t work,
-                     Dispose dispose = {}) {
-  const bool large = work >= 2 * static_cast<std::uint64_t>(config().grain);
-  reclaim_batch(std::move(dead),
-                large ? ReclaimLane::kBackground : ReclaimLane::kInline,
-                dispose);
 }
 
 // Blocks until every batch ever routed to the background lane has been

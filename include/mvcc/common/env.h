@@ -6,15 +6,11 @@
 //
 //   MVCC_SCALE    multiplier applied to structure sizes; non-positive or
 //                 non-finite values mean the default          (default 1.0)
-//   MVCC_THREADS  worker-thread count for batch/bulk ops       (default hw)
+//   MVCC_THREADS  worker-thread count for batch/bulk ops, clamped to
+//                 [1, kMaxThreadKnob]                          (default hw)
 //   MVCC_GRAIN    fork-join grain of the bulk tree ops (ftree/ops.h); two
 //                 grains of work move a commit's frees off the commit
 //                 path (alloc/reclaim.h)                    (default 2048)
-//   MVCC_ALLOC    "slab" routes fixed-size blocks through the alloc/pool.h
-//                 magazine pool, "malloc" uses plain new/delete for A/B
-//                 comparison                              (default "slab")
-//   MVCC_SLAB_BYTES  bytes per slab the alloc/ pool carves blocks from,
-//                 clamped to [4096, 16MiB]                 (default 65536)
 //   MVCC_SHARDS   when set, the one shard count the benches' sharded
 //                 cells run (bench/bench_util.h's shard_sweep; unset, they
 //                 sweep 1/2/4), clamped to [1, 256]            (default 1)
@@ -24,9 +20,11 @@
 // MVCC_WARMUP_SECONDS, MVCC_READERS) in bench/bench_util.h.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <climits>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -62,6 +60,11 @@ inline std::string env_string(const char* name, const char* def = "") {
   const char* s = std::getenv(name);
   return std::string(s != nullptr ? s : def);
 }
+
+// Ceiling on any thread count read from the environment. A count is sized
+// into vectors and narrowed to int, so an absurd or overflowing value must
+// not reach vector::reserve, wrap, or ask exec/ for that many workers.
+inline constexpr long kMaxThreadKnob = 1024;
 
 // Smallest fork-join grain the bulk tree ops accept: below this, the spawn
 // cost per subproblem exceeds the node-visit work by orders of magnitude
@@ -101,20 +104,7 @@ inline long parse_grain() {
 inline int parse_threads() {
   const long hw = static_cast<long>(std::thread::hardware_concurrency());
   const long v = env_long("MVCC_THREADS", hw > 0 ? hw : 1);
-  return static_cast<int>(v > 0 ? v : 1);
-}
-
-// MVCC_ALLOC: any value other than "malloc" selects the slab pool, so a
-// typo fails toward the default policy instead of silently changing it.
-inline bool parse_alloc_pooled() {
-  return env_string("MVCC_ALLOC", "slab") != "malloc";
-}
-
-inline std::size_t parse_slab_bytes() {
-  const long v = env_long("MVCC_SLAB_BYTES", 1L << 16);
-  const long lo = 1L << 12;
-  const long hi = 1L << 24;
-  return static_cast<std::size_t>(v < lo ? lo : (v > hi ? hi : v));
+  return static_cast<int>(std::clamp(v, 1L, kMaxThreadKnob));
 }
 
 // MVCC_SHARDS clamped to [1, 256]: a shard is a whole flattener thread plus
@@ -136,12 +126,12 @@ inline int parse_shards() {
 // directly, or setenv + reload_config(). Library code reads config() (one
 // cached struct, no getenv on hot paths).
 struct Config {
-  double scale = 1.0;              // MVCC_SCALE
-  int threads = 1;                 // MVCC_THREADS (floored at 1)
-  long grain = 2048;               // MVCC_GRAIN (clamped to kGrainFloor)
-  bool alloc_pooled = true;        // MVCC_ALLOC ("slab" | "malloc")
-  std::size_t slab_bytes = 65536;  // MVCC_SLAB_BYTES
-  int shards = 1;                  // MVCC_SHARDS (clamped to [1, 256])
+  double scale = 1.0;  // MVCC_SCALE
+  int threads = 1;     // MVCC_THREADS (clamped to [1, kMaxThreadKnob])
+  long grain = 2048;   // MVCC_GRAIN (clamped to kGrainFloor)
+  int shards = 1;      // MVCC_SHARDS (clamped to [1, 256])
+  // Bytes per slab the alloc/ pool carves blocks from. Not a knob.
+  static constexpr std::size_t slab_bytes = std::size_t{1} << 16;
 
   // Scales a base structure size by `scale`; never returns less than 1 for
   // a positive base, so the result is always a usable element count, and
@@ -159,8 +149,6 @@ struct Config {
     c.scale = detail::parse_scale();
     c.threads = detail::parse_threads();
     c.grain = detail::parse_grain();
-    c.alloc_pooled = detail::parse_alloc_pooled();
-    c.slab_bytes = detail::parse_slab_bytes();
     c.shards = detail::parse_shards();
     return c;
   }
@@ -169,8 +157,7 @@ struct Config {
 // The process-wide configuration, seeded from the environment on first
 // call. Set overriding env vars before the first library use (or call
 // reload_config()); note that some consumers resolve their policy once —
-// e.g. the allocation route (alloc/pool.h) and bulk_grain (ftree/ops.h)
-// latch at first use so a mid-run flip cannot mismatch allocate/free pairs.
+// e.g. bulk_grain (ftree/ops.h) latches at first use.
 inline Config& config() {
   static Config c = Config::from_env();
   return c;

@@ -277,12 +277,11 @@ struct Block : Node<K, V, A> {
 
 // The allocation policy every node goes through — the explicit seam
 // between the tree algorithms and the alloc/ slab pool. `create`/`destroy`
-// are the unit operations (routing honors MVCC_ALLOC: slab pool by
-// default, plain operator new/delete under "malloc"); `free_batch` hands
-// an exact freed set's raw storage (destructors already run) back to the
-// pool wholesale, which is what makes a precise collect O(freed) in the
-// allocator too, not just in the traversal. Both node kinds are counted in
-// live_nodes and, under obs, in live bytes.
+// are the unit operations (both node kinds fit a pool size class);
+// `free_batch` hands an exact freed set's raw storage (destructors already
+// run) back to the pool wholesale, which is what makes a precise collect
+// O(freed) in the allocator too, not just in the traversal. Both node
+// kinds are counted in live_nodes and, under obs, in live bytes.
 struct NodeAlloc {
   template <class N, class... Args>
   static N* create(Args&&... args) {

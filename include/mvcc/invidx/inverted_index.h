@@ -23,7 +23,7 @@
 // distinct slots. A slot p must not be used from two threads at once.
 // Precise GC falls out of the payload ownership: every Map a VM operation
 // proves unreachable is returned to the slab pool on the spot, through
-// alloc::reclaim_batch on the inline lane (its destructor reenters collect
+// alloc::destroy on the calling thread (its destructor reenters collect
 // for the nested posting lists), so ftree::live_nodes() returns to
 // baseline once the index and its snapshots are gone.
 #pragma once
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "mvcc/alloc/pool.h"
-#include "mvcc/alloc/reclaim.h"
 #include "mvcc/ftree/fmap.h"
 #include "mvcc/invidx/corpus.h"
 #include "mvcc/vm/base.h"
@@ -177,8 +176,7 @@ class InvertedIndex {
 
  private:
   static void free_now(std::vector<Map*> dead) {
-    alloc::reclaim_batch(std::move(dead), alloc::ReclaimLane::kInline,
-                         alloc::PoolDispose{});
+    for (Map* m : dead) alloc::destroy(m);
   }
 
   VM vm_;

@@ -23,7 +23,7 @@
 //     single-writer serialization the VM contract (vm/base.h) requires.
 //   * Version payloads (Map objects) are owned here and created through
 //     the alloc/ pool, and every pointer a VM operation proves unreachable
-//     goes back through alloc/reclaim.h. Reader releases free inline; a
+//     goes back to it through alloc::destroy. Reader releases free inline; a
 //     commit that copied enough nodes hands its retired versions to the
 //     exec/ pool's background lane (alloc::reclaim_retired), so it does
 //     not stall on the destructor cost of a large retirement. The
@@ -256,8 +256,7 @@ class BatchingMap {
     Map* cur = vm_.acquire(p);
     const V* v = cur->find(k);
     std::optional<V> out = v != nullptr ? std::optional<V>(*v) : std::nullopt;
-    alloc::reclaim_batch(vm_.release(p), alloc::ReclaimLane::kInline,
-                         alloc::PoolDispose{});
+    for (Map* m : vm_.release(p)) alloc::destroy(m);
     return out;
   }
 
@@ -266,8 +265,7 @@ class BatchingMap {
   ReadTxn read_txn(int p) {
     Map* cur = vm_.acquire(p);
     Map snap = *cur;
-    alloc::reclaim_batch(vm_.release(p), alloc::ReclaimLane::kInline,
-                         alloc::PoolDispose{});
+    for (Map* m : vm_.release(p)) alloc::destroy(m);
     return ReadTxn(std::move(snap));
   }
 
@@ -487,7 +485,7 @@ class BatchingMap {
         vm_.set(writer_pid(), alloc::create<Map>(std::move(next)));
     for (Map* m : vm_.release(writer_pid())) dead.push_back(m);
     if (stats != nullptr) stats->stage_publish_ns.record(laps.lap());
-    alloc::reclaim_retired(std::move(dead), work, alloc::PoolDispose{});
+    alloc::reclaim_retired(std::move(dead), work);
     ops_committed_.fetch_add(raw_ops, std::memory_order_relaxed);
     batches_committed_.fetch_add(1, std::memory_order_relaxed);
     if (stats != nullptr) {

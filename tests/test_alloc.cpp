@@ -35,7 +35,7 @@ TEST(Alloc, SizeClassMapping) {
 }
 
 TEST(Alloc, RoundTripAndAlignment) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
   std::set<void*> seen;
   std::vector<void*> blocks;
   for (int i = 0; i < 500; ++i) {
@@ -50,7 +50,7 @@ TEST(Alloc, RoundTripAndAlignment) {
 }
 
 TEST(Alloc, RecyclesFreedBlocksWithoutNewSlabs) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
   std::vector<void*> blocks;
   for (int i = 0; i < 256; ++i) blocks.push_back(pool.allocate(64));
   const std::int64_t slabs_after_warmup = pool.stats().slabs;
@@ -66,7 +66,7 @@ TEST(Alloc, RecyclesFreedBlocksWithoutNewSlabs) {
 }
 
 TEST(Alloc, ReusedBlockNeverAliasesLiveBlock) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
   std::set<void*> live;
   std::vector<void*> dead;
   // Interleave: keep every odd allocation live, free the even ones, then
@@ -95,28 +95,9 @@ TEST(Alloc, ReusedBlockNeverAliasesLiveBlock) {
   }
 }
 
-TEST(Alloc, PoolAddressReuseDoesNotResurrectDeadThreadCache) {
-  // Regression: local_cache()'s thread-local lookaside keys on the Pool
-  // address. Destroying a pool and constructing another at the SAME address
-  // (placement new makes the reuse deterministic; sequential stack pools hit
-  // it by accident) must not hand back the dead pool's ThreadCache, whose
-  // magazines point into the deleted chunk table and freed slabs.
-  alignas(alloc::Pool) unsigned char storage[sizeof(alloc::Pool)];
-  auto* first = ::new (static_cast<void*>(storage)) alloc::Pool(1 << 12);
-  void* a = first->allocate(48);  // seeds this thread's lookaside
-  ASSERT_NE(a, nullptr);
-  first->deallocate(a, 48);
-  first->~Pool();
-  auto* second = ::new (static_cast<void*>(storage)) alloc::Pool(1 << 12);
-  void* b = second->allocate(48);  // must re-register, not reuse the stale cache
-  ASSERT_NE(b, nullptr);
-  std::memset(b, 0x7e, 48);  // ASan faults here if the block came off a dead slab
-  second->deallocate(b, 48);
-  second->~Pool();
-}
-
 TEST(Alloc, CrossThreadFree) {
-  alloc::Pool pool(1 << 12);
+  alloc::Pool& pool = alloc::Pool::instance();
+  const std::int64_t transfers_before = pool.stats().depot_transfers;
   constexpr int kBlocks = 1000;
   std::vector<void*> blocks;
   for (int i = 0; i < kBlocks; ++i) blocks.push_back(pool.allocate(48));
@@ -137,7 +118,7 @@ TEST(Alloc, CrossThreadFree) {
   }
   EXPECT_EQ(pool.stats().slabs, slabs_before);
   EXPECT_GT(recycled, kBlocks / 2);
-  EXPECT_GT(pool.stats().depot_transfers, 0);
+  EXPECT_GT(pool.stats().depot_transfers, transfers_before);
   pool.deallocate_batch(again.data(), again.size(), 48);
 }
 
@@ -145,7 +126,8 @@ TEST(Alloc, DepotTransferUnderContention) {
   // Producer/consumer pairs force whole-magazine depot traffic: producers
   // allocate and publish blocks, consumers free them. Every block must be
   // handed out exactly once while live (no depot pop may duplicate one).
-  alloc::Pool pool(1 << 14);
+  alloc::Pool& pool = alloc::Pool::instance();
+  const std::int64_t transfers_before = pool.stats().depot_transfers;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 4000;
   std::mutex mu;
@@ -190,12 +172,12 @@ TEST(Alloc, DepotTransferUnderContention) {
   for (std::thread& t : threads) t.join();
   EXPECT_FALSE(duplicate.load());
   EXPECT_EQ(produced.load(), (kThreads / 2) * kPerThread);
-  EXPECT_GT(pool.stats().depot_transfers, 0);
+  EXPECT_GT(pool.stats().depot_transfers, transfers_before);
 }
 
 TEST(Alloc, RoutingFallsBackToOperatorNewForLargeBlocks) {
-  // Blocks above kMaxBlockBytes bypass the pool entirely, whatever the
-  // MVCC_ALLOC route — allocate/deallocate must still pair up.
+  // Blocks above kMaxBlockBytes bypass the pool entirely — allocate and
+  // deallocate must still pair up.
   void* p = alloc::allocate(alloc::kMaxBlockBytes + 1);
   ASSERT_NE(p, nullptr);
   std::memset(p, 0xcd, alloc::kMaxBlockBytes + 1);
@@ -203,6 +185,21 @@ TEST(Alloc, RoutingFallsBackToOperatorNewForLargeBlocks) {
   std::vector<void*> big;
   for (int i = 0; i < 8; ++i) big.push_back(alloc::allocate(4096));
   alloc::deallocate_batch(big.data(), big.size(), 4096);
+}
+
+TEST(Alloc, PoolSizedBlocksIgnoreMallocRoute) {
+  // The retired malloc route's variable, set before the first allocation
+  // of the test, must not move pool-sized blocks off the pool: the block
+  // just freed to this thread's magazine comes straight back.
+  setenv("MVCC_ALLOC", "malloc", 1);
+  reload_config();
+  void* freed = alloc::Pool::instance().allocate(48);
+  alloc::Pool::instance().deallocate(freed, 48);
+  void* p = alloc::allocate(48);
+  EXPECT_EQ(p, freed);
+  alloc::deallocate(p, 48);
+  unsetenv("MVCC_ALLOC");
+  reload_config();
 }
 
 TEST(Alloc, CreateDestroyRunsConstructorsOnce) {
@@ -220,6 +217,9 @@ TEST(Alloc, CreateDestroyRunsConstructorsOnce) {
   EXPECT_EQ(count, 0);
 }
 
+// A work estimate above every defer threshold.
+constexpr std::uint64_t kAlwaysDefer = ~std::uint64_t{0};
+
 TEST(Alloc, ReclaimBatchInlineRunsDisposeNow) {
   int count = 0;
   struct Probe {
@@ -228,17 +228,17 @@ TEST(Alloc, ReclaimBatchInlineRunsDisposeNow) {
     int* counter;
   };
   std::vector<Probe*> dead;
-  for (int i = 0; i < 10; ++i) dead.push_back(new Probe(&count));
+  for (int i = 0; i < 10; ++i) dead.push_back(alloc::create<Probe>(&count));
   EXPECT_EQ(count, 10);
-  alloc::reclaim_batch(std::move(dead), alloc::ReclaimLane::kInline);
+  // No work: below any defer threshold, so the set is freed on this thread.
+  alloc::reclaim_retired(std::move(dead), /*work=*/0);
   EXPECT_EQ(count, 0);
 }
 
 TEST(Alloc, ReclaimBatchBackgroundDrainsOnQuiesce) {
   std::vector<std::uint64_t*> dead;
   for (int i = 0; i < 64; ++i) dead.push_back(alloc::create<std::uint64_t>());
-  alloc::reclaim_batch(std::move(dead), alloc::ReclaimLane::kBackground,
-                       alloc::PoolDispose{});
+  alloc::reclaim_retired(std::move(dead), kAlwaysDefer);
   alloc::reclaim_quiesce();
   EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
@@ -280,28 +280,6 @@ TEST(Alloc, PackedNodeLayoutIsCompact) {
   EXPECT_LE(sizeof(Plain), alloc::kMaxBlockBytes);
   EXPECT_LE(sizeof(PlainBlock), alloc::kMaxBlockBytes);
   EXPECT_LE(sizeof(SummedBlock), alloc::kMaxBlockBytes);
-}
-
-TEST(AllocConfig, FromEnvParsesAllocKnobs) {
-  setenv("MVCC_ALLOC", "malloc", 1);
-  setenv("MVCC_SLAB_BYTES", "8192", 1);
-  Config c = Config::from_env();
-  EXPECT_FALSE(c.alloc_pooled);
-  EXPECT_EQ(c.slab_bytes, 8192u);
-  setenv("MVCC_ALLOC", "slab", 1);
-  c = Config::from_env();
-  EXPECT_TRUE(c.alloc_pooled);
-  unsetenv("MVCC_ALLOC");
-  unsetenv("MVCC_SLAB_BYTES");
-}
-
-TEST(AllocConfig, SlabBytesClampsToSaneRange) {
-  setenv("MVCC_SLAB_BYTES", "1", 1);
-  EXPECT_EQ(Config::from_env().slab_bytes, std::size_t{1} << 12);
-  setenv("MVCC_SLAB_BYTES", "999999999", 1);
-  EXPECT_EQ(Config::from_env().slab_bytes, std::size_t{1} << 24);
-  unsetenv("MVCC_SLAB_BYTES");
-  EXPECT_EQ(Config::from_env().slab_bytes, std::size_t{1} << 16);
 }
 
 }  // namespace

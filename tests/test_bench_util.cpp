@@ -135,7 +135,7 @@ TEST(BenchDriver, WorkerThreadsKeepsDefaultAndClamps) {
   }
   for (const char* v : {"1000000", "99999999999999999999"}) {
     ScopedEnv env("MVCC_THREADS", v);
-    EXPECT_EQ(bench::worker_threads(2), bench::kMaxThreadKnob) << v;
+    EXPECT_EQ(bench::worker_threads(2), kMaxThreadKnob) << v;
   }
   for (const char* v : {"abc", "4x", ""}) {
     ScopedEnv env("MVCC_THREADS", v);
@@ -156,7 +156,7 @@ TEST(BenchDriver, ReaderThreadsKeepsDefaultAndClamps) {
   }
   {
     ScopedEnv env("MVCC_READERS", "99999999999999999999");
-    EXPECT_EQ(bench::reader_threads(), bench::kMaxThreadKnob);
+    EXPECT_EQ(bench::reader_threads(), kMaxThreadKnob);
   }
   {
     ScopedEnv env("MVCC_READERS", "many");

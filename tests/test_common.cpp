@@ -92,6 +92,10 @@ TEST(Env, ThreadsIsPositive) {
   EXPECT_EQ(config_with("MVCC_THREADS", "5").threads, 5);
   EXPECT_GE(config_with("MVCC_THREADS", "-2").threads, 1);
   config_with("MVCC_THREADS", nullptr);
+  // Out of int range: parsed only, never handed to a pool or a map.
+  setenv("MVCC_THREADS", "5000000000", 1);
+  EXPECT_EQ(Config::from_env().threads, kMaxThreadKnob);
+  unsetenv("MVCC_THREADS");
 }
 
 TEST(Env, GrainClampsTinyValuesToFloor) {
@@ -113,8 +117,7 @@ TEST(Env, ConfigFromEnvSeedsEveryKnob) {
   EXPECT_DOUBLE_EQ(c.scale, 2.0);
   EXPECT_EQ(c.threads, 3);
   EXPECT_EQ(c.grain, 512);
-  EXPECT_TRUE(c.alloc_pooled);  // MVCC_ALLOC unset -> slab route
-  EXPECT_EQ(c.shards, 1);       // MVCC_SHARDS unset -> single shard
+  EXPECT_EQ(c.shards, 1);  // MVCC_SHARDS unset -> single shard
   EXPECT_EQ(c.scaled(1000), 2000);
   EXPECT_EQ(c.scaled(0), 0);  // zero base is exempt from the >=1 clamp
   unsetenv("MVCC_SCALE");

@@ -483,16 +483,21 @@ TEST(TxnReclaim, SmallCommitFreesBeforeSyncReturns) {
   EXPECT_EQ(alloc::ReclaimStats::get().deferred.value(), deferred0);
 }
 
+// A pool payload whose destructor blocks until `open` is set.
+struct LaneBlocker {
+  explicit LaneBlocker(std::atomic<bool>* o) : open(o) {}
+  ~LaneBlocker() {
+    while (!open->load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+  std::atomic<bool>* open;
+};
+
 TEST(TxnReclaim, BusyLaneSendsLargeCommitInline) {
   // Occupy the lane with one batch that cannot finish until `open` is set.
   std::atomic<bool> open{false};
-  alloc::reclaim_batch(std::vector<int*>{new int(0)},
-                       alloc::ReclaimLane::kBackground, [&open](int* p) {
-                         while (!open.load(std::memory_order_acquire)) {
-                           std::this_thread::yield();
-                         }
-                         delete p;
-                       });
+  alloc::reclaim_retired(
+      std::vector<LaneBlocker*>{alloc::create<LaneBlocker>(&open)},
+      /*work=*/~std::uint64_t{0});
   {
     GrainGuard grain(kDeferAll);
     PswfMap map(1, {});

@@ -413,25 +413,28 @@ std::atomic<int> CountedPayload::live{0};
 
 TEST(VmReclaim, PreciseFreedSetsStayExactWhenDeferred) {
   // A PSWF writer churning versions with a concurrent reader, every
-  // returned freed set routed through the background lane.
-  constexpr auto kLane = mvcc::alloc::ReclaimLane::kBackground;
+  // returned freed set offered to the background lane (a work estimate
+  // above any defer threshold).
+  using mvcc::alloc::create;
+  using mvcc::alloc::reclaim_retired;
+  constexpr std::uint64_t kDefer = ~std::uint64_t{0};
   {
-    PswfVersionManager<CountedPayload> vm(2, new CountedPayload());
+    PswfVersionManager<CountedPayload> vm(2, create<CountedPayload>());
     std::atomic<bool> stop{false};
     std::thread reader([&] {
       while (!stop.load(std::memory_order_acquire)) {
         (void)vm.acquire(1);
-        mvcc::alloc::reclaim_batch(vm.release(1), kLane);
+        reclaim_retired(vm.release(1), kDefer);
       }
     });
     for (int i = 0; i < 3000; ++i) {
       (void)vm.acquire(0);
-      mvcc::alloc::reclaim_batch(vm.set(0, new CountedPayload()), kLane);
-      mvcc::alloc::reclaim_batch(vm.release(0), kLane);
+      reclaim_retired(vm.set(0, create<CountedPayload>()), kDefer);
+      reclaim_retired(vm.release(0), kDefer);
     }
     stop.store(true, std::memory_order_release);
     reader.join();
-    for (CountedPayload* p : vm.shutdown_drain()) delete p;
+    for (CountedPayload* p : vm.shutdown_drain()) mvcc::alloc::destroy(p);
   }
   mvcc::alloc::reclaim_quiesce();
   EXPECT_EQ(CountedPayload::live.load(), 0);
