@@ -168,7 +168,7 @@ int main() {
       "Table 3: inverted index -- concurrent updates+queries vs separate");
   std::printf("(synthetic Zipf corpus; paper: Wikipedia, 144 threads, 30s "
               "windows, p in {10,20,40,80}; seconds)\n");
-  bench::print_row({"p", "Tu", "Tq", "Tu+Tq", "Tu+q"});
+  bench::Table table({"p", "Tu", "Tq", "Tu+Tq", "Tu+q"});
   const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
   std::vector<int> ps;
   for (int p = 1; p <= static_cast<int>(hw); p *= 2) ps.push_back(p);
@@ -185,8 +185,9 @@ int main() {
       obs::registry().gauge(cell + column + "_ns").set(ns);
       row.push_back(bench::fmt(static_cast<double>(ns) / 1e9, 2));
     }
-    bench::print_row(row);
+    table.add_row(std::move(row));
   }
+  table.print();
   std::printf("shape check: Tu + Tq should be close to Tu+q (the paper's "
               "finding that concurrency is nearly free)\n");
   return 0;

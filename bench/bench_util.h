@@ -1,5 +1,6 @@
 // Shared glue for the experiment binaries:
-//   * table formatting (Table, print_row, fmt) for the human-readable output;
+//   * table formatting (print_header, Table, fmt, fmt_ns) for the
+//     human-readable output;
 //   * the environment knobs every bench reads (MVCC_SECONDS,
 //     MVCC_WARMUP_SECONDS, MVCC_THREADS, MVCC_READERS, MVCC_SHARDS), each
 //     behind one helper that applies its floor/clamp;
@@ -38,20 +39,8 @@ inline void print_header(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());
 }
 
-// Prints one row of left-aligned cells. `width` is a minimum: a cell wider
-// than it gets its own width plus a separating space, so long values never
-// jam into the next column (they may still stagger against other rows —
-// use Table when the whole table is known up front).
-inline void print_row(const std::vector<std::string>& cells, int width = 12) {
-  for (const auto& c : cells) {
-    const int w = std::max(width, static_cast<int>(c.size()) + 1);
-    std::printf("%-*s", w, c.c_str());
-  }
-  std::printf("\n");
-}
-
 // Collects a header plus rows and prints them with every column as wide as
-// its widest cell — the alignment print_row cannot guarantee row by row.
+// its widest cell.
 class Table {
  public:
   explicit Table(std::vector<std::string> header, int min_width = 12)
@@ -94,8 +83,6 @@ inline std::string fmt(double v, int precision = 3) {
   return s;
 }
 
-inline std::string fmt_int(long long v) { return std::to_string(v); }
-
 // Measured window per bench cell, seconds (MVCC_SECONDS); a non-positive
 // one would report zeros as data, so it means the default.
 inline double cell_seconds() {
@@ -120,7 +107,7 @@ inline int thread_knob(const char* name, int def) {
 // passes its own default.
 inline int worker_threads(int def) { return thread_knob("MVCC_THREADS", def); }
 
-// Reader thread count for the Table 2 / Figure 6 harness (paper: 140).
+// Reader thread count of bench_vm_sweep's range-workload cells (paper: 140).
 inline int reader_threads() { return thread_knob("MVCC_READERS", 3); }
 
 // Shard counts of a sharded sweep: 1/2/4 when MVCC_SHARDS is unset, so one
@@ -232,10 +219,10 @@ inline std::string fmt_ns(const obs::LatencyHistogram& h, double q) {
 
 // Per-process observability session for the experiment binaries: construct
 // one in main() around the measured work, naming the bench's metric prefix
-// (fig7, batching, table3, collect). Under MVCC_STATS=1 it registers every
-// subsystem's footprint probes and, when MVCC_SAMPLE_MS > 0, starts the
-// background sampler; on destruction it stops the sampler, writes the
-// footprint CSV (MVCC_SAMPLE_OUT, default footprint.csv), and dumps the
+// (fig7, batching, table3, vm_sweep, collect). Under MVCC_STATS=1 it
+// registers every subsystem's footprint probes and, when MVCC_SAMPLE_MS > 0,
+// starts the background sampler; on destruction it stops the sampler, writes
+// the footprint CSV (MVCC_SAMPLE_OUT, default footprint.csv), and dumps the
 // event trace to MVCC_TRACE when tracing is active. Stats on or off, the
 // destructor then prints registry().dump_json("<prefix>/") as the last block
 // on stdout -- the block bench/merge_json.py reads.

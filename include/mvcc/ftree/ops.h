@@ -1153,21 +1153,6 @@ typename A::T aug_range(const Node<K, V, A>* t, const K& lo, const K& hi) {
                     aug_le(in->right, hi));
 }
 
-// In-order traversal: f(key, value) for every entry.
-template <class K, class V, class A, class F>
-void for_each(const Node<K, V, A>* t, F&& f) {
-  if (t == nullptr) return;
-  if (t->is_block()) {
-    const Block<K, V, A>* b = t->block();
-    for (std::uint32_t i = 0; i < b->size(); ++i) f(b->keys[i], b->vals[i]);
-    return;
-  }
-  const Inner<K, V, A>* in = t->inner();
-  for_each(in->left, f);
-  f(in->key, in->val);
-  for_each(in->right, f);
-}
-
 // In-order traversal with early exit: f(key, value) returns false to stop.
 // Returns whether the traversal ran to completion. Powers bounded scans
 // like the inverted index's limit-k intersection.
@@ -1185,6 +1170,15 @@ bool for_each_while(const Node<K, V, A>* t, F&& f) {
   if (!for_each_while(in->left, f)) return false;
   if (!f(in->key, in->val)) return false;
   return for_each_while(in->right, f);
+}
+
+// In-order traversal: f(key, value) for every entry.
+template <class K, class V, class A, class F>
+void for_each(const Node<K, V, A>* t, F&& f) {
+  for_each_while(t, [&f](const K& k, const V& v) {
+    f(k, v);
+    return true;
+  });
 }
 
 }  // namespace mvcc::ftree

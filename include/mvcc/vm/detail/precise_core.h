@@ -178,11 +178,12 @@ class PreciseCore : public VmStats {
     return r;
   }
 
-  // Writer-only: publishes `rec` as current and retires the version it
-  // replaces. The RETIRED store is what opens the old version to claiming,
-  // so it comes after the current-pointer swap (release's safety argument
-  // leans on this order).
-  Rec* publish_and_retire(Rec* rec) {
+  // Writer-only: publishes `rec` as current and returns the record it
+  // replaced, still CURRENT. The caller retires that record with a separate
+  // retire(old), after PSWF's help pass: the RETIRED store is what opens the
+  // old version to claiming, so it must follow both the current-pointer swap
+  // and the help pass (release's safety argument leans on this order).
+  Rec* publish(Rec* rec) {
     Rec* old = current_.load(std::memory_order_relaxed);
     current_.store(rec, std::memory_order_seq_cst);
     return old;

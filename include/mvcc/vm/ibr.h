@@ -1,6 +1,6 @@
 // IBR — interval-based reclamation (our extension beyond the paper;
 // Section 6 cites interval-based schemes as a further VM solution, and
-// bench_fig6 plots it as an extra column).
+// bench_vm_sweep plots it as an extra Figure 6 column).
 //
 // A hybrid of EP's cheap reads and HP's stall-immunity: a global era
 // advances on every set; each version records its birth era and, when

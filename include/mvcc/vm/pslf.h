@@ -5,7 +5,7 @@
 // read, then check it is still current; a concurrent set invalidates the
 // attempt and the reader retries against the newer version. Lock-free, not
 // wait-free: a writer committing continuously can starve a reader's
-// acquire (the regime bench_ablation_help probes with nu=1), but some
+// acquire (the regime bench_vm_sweep's §7.1 rows probe with nu=1), but some
 // operation always completes. In exchange, set sheds PSWF's help pass — a
 // bare publish-retire-sweep.
 //
@@ -53,7 +53,7 @@ class PslfVersionManager : public detail::PreciseCore<T> {
   std::vector<T*> set(int p, T* next) {
     (void)p;
     Rec* rec = this->alloc_rec(next);
-    Rec* old = this->publish_and_retire(rec);
+    Rec* old = this->publish(rec);
     this->retire(old);
     return this->sweep();
   }

@@ -65,7 +65,7 @@ class PswfVersionManager : public detail::PreciseCore<T> {
   std::vector<T*> set(int p, T* next) {
     (void)p;
     Rec* rec = this->alloc_rec(next);
-    Rec* old = this->publish_and_retire(rec);
+    Rec* old = this->publish(rec);
     // Help pass: complete every acquire still showing the sentinel with
     // the version just published. Must precede retire(old): a reader whose
     // own CAS beat us here has its announcement of `old` visible to the

@@ -6,10 +6,13 @@
 //   * update granularity nu: the writer acquires the current version,
 //     applies nu point inserts (each intermediate version is collected
 //     precisely by the FMap destructor), publishes the result with set,
-//     and deletes every payload the VM proves unreachable.
+//     and destroys every payload the VM proves unreachable.
 //   * query granularity nq: each reader acquires a snapshot, sums a key
 //     range expected to span ~nq entries via the tree's augmentation, and
-//     releases — deleting whatever the release freed.
+//     releases — destroying whatever the release freed.
+//
+// Version payloads come from the slab pool (alloc::create) and go back to
+// it (alloc::destroy), as every other version payload does.
 //
 // The harness reports query/update throughput and the VM's
 // max_live_versions high-water mark — the "maximum number of uncollected
@@ -22,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "mvcc/alloc/pool.h"
 #include "mvcc/common/rng.h"
 #include "mvcc/common/timing.h"
 #include "mvcc/ftree/fmap.h"
@@ -78,8 +82,8 @@ RangeWorkloadResult run_range_workload(const RangeWorkloadConfig& cfg) {
   for (std::uint64_t i = 0; i < n; ++i) {
     entries.emplace_back(2 * i, init_rng.next_below(1000));
   }
-  VM vm(cfg.readers + 1, new RangeSnapshot(RangeSnapshot::from_entries(
-                             std::move(entries))));
+  VM vm(cfg.readers + 1, alloc::create<RangeSnapshot>(
+                             RangeSnapshot::from_entries(std::move(entries))));
 
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
@@ -98,7 +102,7 @@ RangeWorkloadResult run_range_workload(const RangeWorkloadConfig& cfg) {
         RangeSnapshot* snap = vm.acquire(pid);
         const std::uint64_t lo = rng.next_below(key_space);
         sum += snap->aug_range(lo, lo + query_span);
-        for (RangeSnapshot* dead : vm.release(pid)) delete dead;
+        for (RangeSnapshot* dead : vm.release(pid)) alloc::destroy(dead);
         ++queries;
       }
       total_queries.fetch_add(queries, std::memory_order_relaxed);
@@ -111,7 +115,7 @@ RangeWorkloadResult run_range_workload(const RangeWorkloadConfig& cfg) {
   go.store(true, std::memory_order_release);
 
   // Writer (pid 0) on this thread: commit versions until the clock runs
-  // out, deleting whatever set/release prove unreachable.
+  // out, destroying whatever set/release prove unreachable.
   {
     Xoshiro256 rng(cfg.seed ^ 0xabcdef12345ULL);
     while (timer.seconds() < cfg.duration_sec) {
@@ -121,9 +125,11 @@ RangeWorkloadResult run_range_workload(const RangeWorkloadConfig& cfg) {
         next = next.inserted(rng.next_below(key_space),
                              rng.next_below(1000));
       }
-      for (RangeSnapshot* dead : vm.set(0, new RangeSnapshot(std::move(next))))
-        delete dead;
-      for (RangeSnapshot* dead : vm.release(0)) delete dead;
+      for (RangeSnapshot* dead :
+           vm.set(0, alloc::create<RangeSnapshot>(std::move(next)))) {
+        alloc::destroy(dead);
+      }
+      for (RangeSnapshot* dead : vm.release(0)) alloc::destroy(dead);
       result.updates += static_cast<std::uint64_t>(cfg.nu);
       ++result.versions;
     }
@@ -138,7 +144,7 @@ RangeWorkloadResult run_range_workload(const RangeWorkloadConfig& cfg) {
   result.elapsed_sec = timer.seconds();
   for (std::thread& t : readers) t.join();
 
-  for (RangeSnapshot* dead : vm.shutdown_drain()) delete dead;
+  for (RangeSnapshot* dead : vm.shutdown_drain()) alloc::destroy(dead);
   result.queries = total_queries.load(std::memory_order_relaxed);
   result.checksum = total_checksum.load(std::memory_order_relaxed);
   result.max_live_versions = vm.max_live_versions();
