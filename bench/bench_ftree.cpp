@@ -228,8 +228,8 @@ void BM_TreeCommitStages(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_TreeInsert)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_TreeFind)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_TreeRangeSum)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_TreeFind)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 20);
+BENCHMARK(BM_TreeRangeSum)->Arg(1 << 14)->Arg(1 << 18)->Arg(1 << 20);
 BENCHMARK(BM_TreeMultiInsert)->Arg(1 << 14)->Arg(1 << 17);
 BENCHMARK(BM_TreeMultiInsertSmallBatch)->Arg(1 << 20);
 BENCHMARK(BM_TreeMultiInsertVsLoop)->Arg(1 << 14)->Arg(1 << 17);

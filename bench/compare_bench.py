@@ -7,10 +7,11 @@
 The file's runs.parent and runs.change hold, per workload, the JSON result
 lines of perfbench/run.py. Runs that carry "trace": 1 are left out, so only
 untraced end-to-end numbers are compared. Runs pair up by seed, or by
-position when the seeds differ. With --against, the file's change runs are
-compared with the other file's change runs instead of its own parent runs:
-the trajectory from one recorded change to the next (the two were measured
-at different times, so host drift shows up as a move on every metric).
+position when the seeds differ or either side has a line without one. With
+--against, the file's change runs are compared with the other file's change
+runs instead of its own parent runs: the trajectory from one recorded change
+to the next (the two were measured at different times, so host drift shows
+up as a move on every metric).
 
 For each workload and each end-to-end metric of BENCHMARK.json it prints
 both sides' median and quartiles, each side's quartile spread relative to
@@ -46,11 +47,12 @@ def untraced(lines):
 
 
 def pairs(parent, change):
-    """Matched (parent, change) result lines: by seed if both sides carry
-    the same seeds, else by position."""
+    """Matched (parent, change) result lines: by seed if every line on both
+    sides carries one and the two sides carry the same seeds, else by
+    position."""
     pseeds = [r.get("seed") for r in parent]
     cseeds = [r.get("seed") for r in change]
-    if None not in pseeds and sorted(pseeds) == sorted(cseeds):
+    if None not in pseeds + cseeds and sorted(pseeds) == sorted(cseeds):
         by_seed = {r["seed"]: r for r in change}
         return [(p, by_seed[p["seed"]]) for p in parent]
     return list(zip(parent, change))

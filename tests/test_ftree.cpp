@@ -1047,6 +1047,37 @@ TEST(Ftree, PrefetchPassVisitsEveryPathNode) {
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 
+TEST(Ftree, BlockSearchMatchesStdBounds) {
+  // Block::lower/upper are a halving search with a fixed number of steps
+  // per size, so an off-by-one shows at particular sizes (0, a power of
+  // two, kLeaf) or positions (the first or last slot). Every size is
+  // probed below the first key, at each key, between keys and above the
+  // last key, against std::lower_bound/upper_bound.
+  using B = ftree::Block<std::uint64_t, std::uint64_t,
+                         ftree::NoAug<std::uint64_t, std::uint64_t>>;
+  for (std::uint32_t n = 0; n <= ftree::kLeaf; ++n) {
+    B b;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      b.keys[i] = 10 * (i + 1);
+      b.vals[i] = i;
+    }
+    b.seal(n);
+    std::vector<std::uint64_t> probes = {0, 9, 10 * n + 1, 10 * n + 5};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      probes.insert(probes.end(), {b.keys[i] - 1, b.keys[i], b.keys[i] + 1,
+                                   b.keys[i] + 5});
+    }
+    for (std::uint64_t k : probes) {
+      const auto lo = static_cast<std::uint32_t>(
+          std::lower_bound(b.keys, b.keys + n, k) - b.keys);
+      const auto hi = static_cast<std::uint32_t>(
+          std::upper_bound(b.keys, b.keys + n, k) - b.keys);
+      EXPECT_EQ(b.lower(k), lo) << "size " << n << " key " << k;
+      EXPECT_EQ(b.upper(k), hi) << "size " << n << " key " << k;
+    }
+  }
+}
+
 TEST(Ftree, MultiInsertExactUnderConcurrentVersionChurn) {
   // multi_insert and insert read the old version by borrowing its nodes:
   // they take no count on the path they copy, only on the siblings they
