@@ -166,7 +166,7 @@ int main() {
               producers, warmup, secs);
   bench::Table sharded_table(
       {"shards", "mops", "avg_batch", "p50_ns", "p99_ns", "p999_ns"});
-  for (int n : bench::shard_sweep()) {
+  for (int n : {1, 2, 4}) {
     std::fprintf(stderr, "batching: shards=%d...\n", n);
     run_sharded(n, producers, warmup, secs);
     sharded_table.add_row(row(std::to_string(n),

@@ -2,8 +2,8 @@
 //   * table formatting (print_header, Table, fmt, fmt_ns) for the
 //     human-readable output;
 //   * the environment knobs every bench reads (MVCC_SECONDS,
-//     MVCC_WARMUP_SECONDS, MVCC_THREADS, MVCC_READERS, MVCC_SHARDS), each
-//     behind one helper that applies its floor/clamp;
+//     MVCC_WARMUP_SECONDS, MVCC_THREADS, MVCC_READERS), each behind one
+//     helper that applies its floor/clamp;
 //   * SteadyState, the one duration-based steady-state driver the Figure 7
 //     and Appendix F cells run through;
 //   * ObsSession, which prints the bench's obs registry as the last JSON
@@ -109,15 +109,6 @@ inline int worker_threads(int def) { return thread_knob("MVCC_THREADS", def); }
 
 // Reader thread count of bench_vm_sweep's range-workload cells (paper: 140).
 inline int reader_threads() { return thread_knob("MVCC_READERS", 3); }
-
-// Shard counts of a sharded sweep: 1/2/4 when MVCC_SHARDS is unset, so one
-// run prints the whole scaling table; otherwise the single count
-// config().shards holds, clamped to [1, 256] by env.h (CI runs one process
-// per count for crash isolation).
-inline std::vector<int> shard_sweep() {
-  if (env_string("MVCC_SHARDS").empty()) return {1, 2, 4};
-  return {config().shards};
-}
 
 // --- Steady-state driver ----------------------------------------------------
 

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Merges bench outputs into one flat JSON object (bench-smoke.json).
 
-Usage: merge_json.py [NAME=]OUTPUT... [footprint.csv] > bench-smoke.json
+Usage: merge_json.py OUTPUT... [footprint.csv] > bench-smoke.json
 
 Each OUTPUT is a bench's captured stdout. Every bench ends its stdout with
 its obs registry dumped as one JSON object, keys already namespaced by the
 bench (fig7/..., batching/..., table3/..., collect/...); that block is
-taken as is. NAME=OUTPUT nests the block's keys under NAME/, for several
-runs of one bench (e.g. one process per shard count). A .csv input is the
-footprint sampler's t_ms,col,... curve, summarised to
-footprint/<col>/peak|mean|final.
+taken as is. A .csv input is the footprint sampler's t_ms,col,... curve,
+summarised to footprint/<col>/peak|mean|final.
 
 Fails when an output has no JSON block, a CSV has no samples, or two inputs
 emit the same key.
@@ -46,14 +44,12 @@ def main(args):
     if not args:
         sys.exit(__doc__)
     merged = {}
-    for arg in args:
-        name, _, path = arg.rpartition("=")
+    for path in args:
         if path.endswith(".csv"):
             block = footprint(path)
         else:
             block = registry_block(path)
         for key, value in block.items():
-            key = f"{name}/{key}" if name else key
             if key in merged:
                 sys.exit(f"merge_json.py: {key} emitted twice ({path})")
             merged[key] = value

@@ -11,9 +11,6 @@
 //   MVCC_GRAIN    fork-join grain of the bulk tree ops (ftree/ops.h); two
 //                 grains of work move a commit's frees off the commit
 //                 path (alloc/reclaim.h)                    (default 2048)
-//   MVCC_SHARDS   when set, the one shard count the benches' sharded
-//                 cells run (bench/bench_util.h's shard_sweep; unset, they
-//                 sweep 1/2/4), clamped to [1, 256]            (default 1)
 //
 // The obs knobs (MVCC_STATS, MVCC_TRACE, MVCC_SAMPLE_MS, MVCC_SAMPLE_OUT)
 // are listed in obs/obs.h; the bench-only ones (MVCC_SECONDS,
@@ -107,14 +104,6 @@ inline int parse_threads() {
   return static_cast<int>(std::clamp(v, 1L, kMaxThreadKnob));
 }
 
-// MVCC_SHARDS clamped to [1, 256]: a shard is a whole flattener thread plus
-// a version manager, so counts beyond a few hundred are a misconfiguration,
-// not a scale-up.
-inline int parse_shards() {
-  const long v = env_long("MVCC_SHARDS", 1);
-  return static_cast<int>(v < 1 ? 1 : (v > 256 ? 256 : v));
-}
-
 }  // namespace detail
 
 // --- Consolidated runtime configuration ------------------------------------
@@ -129,9 +118,10 @@ struct Config {
   double scale = 1.0;  // MVCC_SCALE
   int threads = 1;     // MVCC_THREADS (clamped to [1, kMaxThreadKnob])
   long grain = 2048;   // MVCC_GRAIN (clamped to kGrainFloor)
-  int shards = 1;      // MVCC_SHARDS (clamped to [1, 256])
-  // Bytes per slab the alloc/ pool carves blocks from. Not a knob.
+  // Bytes per slab the alloc/ pool carves blocks from, and the shard count
+  // perfbench/client.cpp reports as its default. Not knobs.
   static constexpr std::size_t slab_bytes = std::size_t{1} << 16;
+  static constexpr int shards = 1;
 
   // Scales a base structure size by `scale`; never returns less than 1 for
   // a positive base, so the result is always a usable element count, and
@@ -149,7 +139,6 @@ struct Config {
     c.scale = detail::parse_scale();
     c.threads = detail::parse_threads();
     c.grain = detail::parse_grain();
-    c.shards = detail::parse_shards();
     return c;
   }
 };

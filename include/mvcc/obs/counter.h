@@ -56,19 +56,16 @@ class Counter {
 
 // Snapshot/delta helper for steady-state measurement windows: captures a
 // monotone source's value at construction, delta() re-reads it. The source
-// is any callable returning uint64 — an obs::Counter (via snapshot below),
-// a BatchingMap accessor, a sum over per-thread op counts — so benches
-// stop hand-rolling "value at measure start" subtractions.
+// is any callable returning uint64 — a BatchingMap accessor, a sum over
+// per-thread op counts — so benches stop hand-rolling "value at measure
+// start" subtractions.
 template <class F>
 class Delta {
  public:
   explicit Delta(F f) : f_(std::move(f)), base_(f_()) {}
 
-  // Growth of the source since construction (or the last rebase).
+  // Growth of the source since construction.
   std::uint64_t delta() const { return f_() - base_; }
-
-  // Restarts the window at the source's current value.
-  void rebase() { base_ = f_(); }
 
  private:
   F f_;
@@ -77,10 +74,5 @@ class Delta {
 
 template <class F>
 Delta(F) -> Delta<F>;
-
-// A Delta over a Counter's value; the counter must outlive the snapshot.
-inline auto snapshot(const Counter& c) {
-  return Delta([&c] { return c.value(); });
-}
 
 }  // namespace mvcc::obs

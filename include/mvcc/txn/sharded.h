@@ -151,11 +151,12 @@ class ShardedMap {
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
 
-  // Quiescent teardown, shard by shard: each BatchingMap commits its
-  // backlog, quiesces the background reclaim lane, and frees every version
-  // its manager tracks — ftree::live_nodes() returns to baseline once the
-  // map and its snapshots are gone.
-  ~ShardedMap() { publish_shard_metrics(); }
+  // Quiescent teardown: drains every shard first, so the ops the backlog
+  // commits reach sharded/shard<i>/*, then shard by shard each BatchingMap
+  // quiesces the background reclaim lane and frees every version its
+  // manager tracks — ftree::live_nodes() returns to baseline once the map
+  // and its snapshots are gone.
+  ~ShardedMap() { flush_all(); }
 
   int shard_count() const { return nshards_; }
   int producers() const { return producers_; }
@@ -314,8 +315,8 @@ class ShardedMap {
   }
 
   // Pushes each shard's committed-op/batch deltas since the last publish
-  // into the process-wide registry counters. Called at flush_all and
-  // teardown — off every hot path.
+  // into the process-wide registry counters. Called by flush_all, which
+  // teardown runs too — off every hot path.
   void publish_shard_metrics() {
     if (!obs::enabled()) return;
     std::lock_guard<std::mutex> lk(metrics_mu_);

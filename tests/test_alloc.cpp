@@ -220,7 +220,7 @@ TEST(Alloc, CreateDestroyRunsConstructorsOnce) {
 // A work estimate above every defer threshold.
 constexpr std::uint64_t kAlwaysDefer = ~std::uint64_t{0};
 
-TEST(Alloc, ReclaimBatchInlineRunsDisposeNow) {
+TEST(Alloc, ReclaimRetiredInlineRunsDisposeNow) {
   int count = 0;
   struct Probe {
     explicit Probe(int* c) : counter(c) { ++*counter; }
@@ -235,7 +235,7 @@ TEST(Alloc, ReclaimBatchInlineRunsDisposeNow) {
   EXPECT_EQ(count, 0);
 }
 
-TEST(Alloc, ReclaimBatchBackgroundDrainsOnQuiesce) {
+TEST(Alloc, ReclaimRetiredBackgroundDrainsOnQuiesce) {
   std::vector<std::uint64_t*> dead;
   for (int i = 0; i < 64; ++i) dead.push_back(alloc::create<std::uint64_t>());
   alloc::reclaim_retired(std::move(dead), kAlwaysDefer);

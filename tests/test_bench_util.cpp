@@ -180,21 +180,4 @@ TEST(BenchDriver, CellAndWarmupSecondsRejectBadValues) {
   EXPECT_DOUBLE_EQ(bench::warmup_seconds(), 0.0);
 }
 
-TEST(BenchDriver, ShardSweepIsFullWhenUnsetAndClampedWhenForced) {
-  {
-    ScopedEnv env("MVCC_SHARDS", nullptr);
-    EXPECT_EQ(bench::shard_sweep(), (std::vector<int>{1, 2, 4}));
-  }
-  for (const char* v : {"-3", "0", "junk"}) {
-    ScopedEnv env("MVCC_SHARDS", v);
-    EXPECT_EQ(bench::shard_sweep(), std::vector<int>{1}) << v;
-  }
-  {
-    ScopedEnv env("MVCC_SHARDS", "1000");
-    EXPECT_EQ(bench::shard_sweep(), std::vector<int>{256});
-  }
-  ScopedEnv env("MVCC_SHARDS", "3");
-  EXPECT_EQ(bench::shard_sweep(), std::vector<int>{3});
-}
-
 }  // namespace

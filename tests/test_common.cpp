@@ -117,33 +117,11 @@ TEST(Env, ConfigFromEnvSeedsEveryKnob) {
   EXPECT_DOUBLE_EQ(c.scale, 2.0);
   EXPECT_EQ(c.threads, 3);
   EXPECT_EQ(c.grain, 512);
-  EXPECT_EQ(c.shards, 1);  // MVCC_SHARDS unset -> single shard
   EXPECT_EQ(c.scaled(1000), 2000);
   EXPECT_EQ(c.scaled(0), 0);  // zero base is exempt from the >=1 clamp
   unsetenv("MVCC_SCALE");
   unsetenv("MVCC_THREADS");
   unsetenv("MVCC_GRAIN");
-}
-
-TEST(Env, ConfigShardsParsesAndClamps) {
-  setenv("MVCC_SHARDS", "4", 1);
-  reload_config();
-  EXPECT_EQ(config().shards, 4);
-  setenv("MVCC_SHARDS", "0", 1);  // non-positive clamps to 1
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
-  setenv("MVCC_SHARDS", "-3", 1);
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
-  setenv("MVCC_SHARDS", "100000", 1);  // absurd counts clamp to 256
-  reload_config();
-  EXPECT_EQ(config().shards, 256);
-  setenv("MVCC_SHARDS", "bogus", 1);  // malformed falls back to default
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
-  unsetenv("MVCC_SHARDS");
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
 }
 
 TEST(Env, ReloadConfigReseedsTheProcessSingleton) {

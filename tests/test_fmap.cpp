@@ -128,7 +128,7 @@ TEST(FMap, AugRangeAgreesWithBruteForce) {
   EXPECT_EQ(m.aug_range(0, ~std::uint64_t{0}), total);
 }
 
-TEST(FMap, UnionWithAppliesDelta) {
+TEST(FMap, MultiInsertedAppliesDelta) {
   SumMap corpus = SumMap::from_entries(random_entries(3000, 1u << 12, 6));
   SumMap delta = SumMap::from_entries(random_entries(300, 1u << 12, 7));
   const auto corpus_before = corpus.to_vector();
