@@ -117,6 +117,7 @@ void run_sharded(int nshards, int producers, double warmup, double seconds) {
       commit_sources(map));
   map.flush_all();
   record_commits(name, w);
+  bench::record_shard_ops(name, map);
 }
 
 // A table row from what a cell recorded: Mop/s, mean batch size, and the

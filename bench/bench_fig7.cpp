@@ -215,6 +215,7 @@ void run_sharded(int nshards, const CellConfig& cfg) {
       },
       {[&map] { return map.ops_committed(); }});
   map.flush_all();
+  bench::record_shard_ops(name, map);
 
   auto& reg = obs::registry();
   reg.gauge(name + "/ops_per_s").set(w.per_s(w.ops));

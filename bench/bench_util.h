@@ -202,6 +202,17 @@ class SteadyState {
   obs::PerfCell perf_;
 };
 
+// Records each shard's committed ops as <cell>/shard<i>/ops gauges. Read
+// after the cell's flush_all, so the counts are this one map's whole run.
+template <class ShardedMap>
+void record_shard_ops(const std::string& cell, const ShardedMap& map) {
+  for (int s = 0; s < map.shard_count(); ++s) {
+    obs::registry()
+        .gauge(cell + "/shard" + std::to_string(s) + "/ops")
+        .set(static_cast<std::int64_t>(map.shard_ops_committed(s)));
+  }
+}
+
 // A histogram quantile for a human table, in ns: "-" when the histogram
 // never recorded, just as the JSON dump omits it.
 inline std::string fmt_ns(const obs::LatencyHistogram& h, double q) {

@@ -53,15 +53,13 @@ struct ReclaimStats {
 
 // Disposes of the versions a commit retired. `work` estimates the nodes
 // the commit copied, which is about what freeing its retired version
-// visits. From 2 * config().grain (4096 at the default grain) the set goes
-// to the background lane, unless that lane still holds a batch: on the
-// repository benchmark that takes write-stream's commits of about 500 ops
-// and up (~7k nodes freed per commit on average), which were faster there
-// with the per-key node layout and measured no slower with leaf blocks,
-// and leaves its snapshot-read commits (~0.7k nodes) inline, which is
-// faster for them. Read on every call, so tests can move the threshold
-// through config().grain. Takes the vector by value so a caller passes a
-// VM return directly.
+// visits. From 2 * Config::grain (4096) the set goes to the background
+// lane, unless that lane still holds a batch: on the repository benchmark
+// that takes write-stream's commits of about 500 ops and up (~7k nodes
+// freed per commit on average), which were faster there with the per-key
+// node layout and measured no slower with leaf blocks, and leaves its
+// snapshot-read commits (~0.7k nodes) inline, which is faster for them.
+// Takes the vector by value so a caller passes a VM return directly.
 template <class T>
 void reclaim_retired(std::vector<T*> dead, std::uint64_t work) {
   if (dead.empty()) return;
@@ -69,7 +67,7 @@ void reclaim_retired(std::vector<T*> dead, std::uint64_t work) {
   // step, so concurrent callers still leave at most one batch pending.
   const auto n = static_cast<std::int64_t>(dead.size());
   std::int64_t idle = 0;
-  if (work < 2 * static_cast<std::uint64_t>(config().grain) ||
+  if (work < 2 * static_cast<std::uint64_t>(Config::grain) ||
       !reclaim_queue_depth().compare_exchange_strong(
           idle, n, std::memory_order_relaxed)) {
     for (T* p : dead) destroy(p);

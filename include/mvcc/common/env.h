@@ -8,9 +8,6 @@
 //                 non-finite values mean the default          (default 1.0)
 //   MVCC_THREADS  worker-thread count for batch/bulk ops, clamped to
 //                 [1, kMaxThreadKnob]                          (default hw)
-//   MVCC_GRAIN    fork-join grain of the bulk tree ops (ftree/ops.h); two
-//                 grains of work move a commit's frees off the commit
-//                 path (alloc/reclaim.h)                    (default 2048)
 //
 // The obs knobs (MVCC_STATS, MVCC_TRACE, MVCC_SAMPLE_MS, MVCC_SAMPLE_OUT)
 // are listed in obs/obs.h; the bench-only ones (MVCC_SECONDS,
@@ -18,11 +15,9 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <climits>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -63,39 +58,12 @@ inline std::string env_string(const char* name, const char* def = "") {
 // not reach vector::reserve, wrap, or ask exec/ for that many workers.
 inline constexpr long kMaxThreadKnob = 1024;
 
-// Smallest fork-join grain the bulk tree ops accept: below this, the spawn
-// cost per subproblem exceeds the node-visit work by orders of magnitude
-// and fork-join degrades into per-node task spam.
-inline constexpr long kGrainFloor = 64;
-
 namespace detail {
 
 // A non-positive scale would size every structure to one element.
 inline double parse_scale() {
   const double v = env_double("MVCC_SCALE", 1.0);
   return v > 0 ? v : 1.0;
-}
-
-// MVCC_GRAIN with the guard rails: non-positive or malformed values fall
-// back to the default (a grain of 0 would fork single-node subproblems),
-// and positive-but-absurd values clamp to kGrainFloor — silently accepting
-// e.g. MVCC_GRAIN=1 used to turn every bulk op into spawn-bound sludge.
-// The clamp logs once per process so a grain sweep that walked off the
-// edge is visible rather than mysteriously flat.
-inline long parse_grain() {
-  const long v = env_long("MVCC_GRAIN", 2048);
-  if (v <= 0) return 2048;
-  if (v < kGrainFloor) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::fprintf(stderr,
-                   "[mvcc] MVCC_GRAIN=%ld would fork near-single-node "
-                   "subproblems; clamped to %ld\n",
-                   v, kGrainFloor);
-    }
-    return kGrainFloor;
-  }
-  return v;
 }
 
 inline int parse_threads() {
@@ -117,9 +85,12 @@ inline int parse_threads() {
 struct Config {
   double scale = 1.0;  // MVCC_SCALE
   int threads = 1;     // MVCC_THREADS (clamped to [1, kMaxThreadKnob])
-  long grain = 2048;   // MVCC_GRAIN (clamped to kGrainFloor)
-  // Bytes per slab the alloc/ pool carves blocks from, and the shard count
-  // perfbench/client.cpp reports as its default. Not knobs.
+  // Estimated node copies of the bulk tree ops' fork-join grain
+  // (ftree/ops.h) and, doubled, of a commit whose frees leave the commit
+  // path (alloc/reclaim.h); bytes per slab the alloc/ pool carves blocks
+  // from; and the shard count perfbench/client.cpp reports as its
+  // default. Not knobs.
+  static constexpr long grain = 2048;
   static constexpr std::size_t slab_bytes = std::size_t{1} << 16;
   static constexpr int shards = 1;
 
@@ -138,15 +109,13 @@ struct Config {
     Config c;
     c.scale = detail::parse_scale();
     c.threads = detail::parse_threads();
-    c.grain = detail::parse_grain();
     return c;
   }
 };
 
 // The process-wide configuration, seeded from the environment on first
 // call. Set overriding env vars before the first library use (or call
-// reload_config()); note that some consumers resolve their policy once —
-// e.g. bulk_grain (ftree/ops.h) latches at first use.
+// reload_config()).
 inline Config& config() {
   static Config c = Config::from_env();
   return c;

@@ -647,16 +647,6 @@ Node<K, V, A>* balance_node(Node<K, V, A>* l, const K& k, const V& v,
   return make_node(k, v, l, r);
 }
 
-// Fork-join granularity for the bulk operations: a recursive step forks
-// only when both sides carry a quarter of this many estimated node copies
-// (fork_work), so the fork cost is always amortized. Tunable (MVCC_GRAIN via
-// config().grain, default 2048, floored at kGrainFloor) for grain sweeps;
-// resolved once per process, so set it before the first bulk op.
-inline std::uint64_t bulk_grain() {
-  static const std::uint64_t g = static_cast<std::uint64_t>(config().grain);
-  return g;
-}
-
 // Leaf blocks that hold n sorted entries: B blocks and their B - 1
 // separators hold up to B * (kLeaf + 1) - 1 entries.
 inline std::uint64_t blocks_for(std::uint64_t n) {
@@ -747,14 +737,14 @@ SplitResult<K, V, A> split(Node<K, V, A>* t, const K& k) {
 
 namespace detail {
 
-// Estimated node copies each side of a step needs before it forks: a
-// quarter grain (512 at the default grain), tens of microseconds of work
-// against a fork's few. A commit-sized batch (about a hundred keys into a
-// big map) thus forks once, at the top. Measured on a 4-vCPU host: with no
-// fork, cold-cache commits (uniform keys, a spare CPU) got slower; with
-// about three forks per commit, a CPU-bound sharded writer lost a quarter
-// of its throughput.
-inline std::uint64_t fork_work() { return bulk_grain() / 4; }
+// Estimated node copies each side of a step needs before it forks, so the
+// fork cost is always amortized: a quarter of Config::grain (512), tens of
+// microseconds of work against a fork's few. A commit-sized batch (about a
+// hundred keys into a big map) thus forks once, at the top. Measured on a
+// 4-vCPU host: with no fork, cold-cache commits (uniform keys, a spare
+// CPU) got slower; with about three forks per commit, a CPU-bound sharded
+// writer lost a quarter of its throughput.
+inline constexpr std::uint64_t fork_work() { return Config::grain / 4; }
 
 // Resolves a caller-supplied worker budget: positive means exactly that
 // many workers, zero (the default) means config().threads (MVCC_THREADS).

@@ -44,8 +44,6 @@
 // database read transaction.
 //
 // Metrics (registered up front, cumulative across instances like txn/*):
-//   sharded/shard<i>/ops        ops committed by shard i's flattener
-//   sharded/shard<i>/batches    versions shard i published
 //   sharded/snapshots           cross-shard version vectors taken
 //   sharded/snapshot_retries    validate passes that failed and retried
 //   sharded/multi_commits       multi_upsert_sync calls committed
@@ -131,8 +129,6 @@ class ShardedMap {
           producers_, Map::from_entries(std::move(parts[static_cast<std::size_t>(s)])),
           buffer_capacity, max_batch));
     }
-    last_ops_.assign(static_cast<std::size_t>(nshards_), 0);
-    last_batches_.assign(static_cast<std::size_t>(nshards_), 0);
     if (obs::enabled()) {
       // Register the whole sharded/* namespace up front so a stats-on run
       // exports every key even when an event (a retry, a multi commit)
@@ -141,22 +137,15 @@ class ShardedMap {
       (void)snapshot_retries_counter();
       (void)multi_commits_counter();
       (void)multi_ops_counter();
-      for (int s = 0; s < nshards_; ++s) {
-        (void)shard_counter(s, "ops");
-        (void)shard_counter(s, "batches");
-      }
     }
   }
 
+  // Teardown destroys the shards in turn: each BatchingMap commits its
+  // backlog, quiesces the background reclaim lane and frees every version
+  // its manager tracks — ftree::live_nodes() returns to baseline once the
+  // map and its snapshots are gone.
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
-
-  // Quiescent teardown: drains every shard first, so the ops the backlog
-  // commits reach sharded/shard<i>/*, then shard by shard each BatchingMap
-  // quiesces the background reclaim lane and frees every version its
-  // manager tracks — ftree::live_nodes() returns to baseline once the map
-  // and its snapshots are gone.
-  ~ShardedMap() { flush_all(); }
 
   int shard_count() const { return nshards_; }
   int producers() const { return producers_; }
@@ -263,11 +252,9 @@ class ShardedMap {
   }
 
   // Drains every shard: all ops submitted before the call are committed on
-  // return. Also publishes the per-shard committed-op deltas to the
-  // sharded/shard<i>/* registry counters.
+  // return.
   void flush_all() {
     for (auto& s : shards_) s->flush_all();
-    publish_shard_metrics();
   }
 
   // Committed-op / published-version totals, summed across shards.
@@ -283,9 +270,6 @@ class ShardedMap {
   }
   std::uint64_t shard_ops_committed(int s) const {
     return shards_[static_cast<std::size_t>(s)]->ops_committed();
-  }
-  std::uint64_t shard_batches_committed(int s) const {
-    return shards_[static_cast<std::size_t>(s)]->batches_committed();
   }
 
   // Instance-level snapshot telemetry (the registry counters aggregate
@@ -314,27 +298,6 @@ class ShardedMap {
     }
   }
 
-  // Pushes each shard's committed-op/batch deltas since the last publish
-  // into the process-wide registry counters. Called by flush_all, which
-  // teardown runs too — off every hot path.
-  void publish_shard_metrics() {
-    if (!obs::enabled()) return;
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    for (int s = 0; s < nshards_; ++s) {
-      const std::uint64_t ops = shard_ops_committed(s);
-      const std::uint64_t batches = shard_batches_committed(s);
-      const std::size_t i = static_cast<std::size_t>(s);
-      shard_counter(s, "ops").add(ops - last_ops_[i]);
-      shard_counter(s, "batches").add(batches - last_batches_[i]);
-      last_ops_[i] = ops;
-      last_batches_[i] = batches;
-    }
-  }
-
-  static obs::Counter& shard_counter(int s, const char* what) {
-    return obs::registry().counter("sharded/shard" + std::to_string(s) +
-                                   "/" + what);
-  }
   static obs::Counter& snapshots_counter() {
     return obs::registry().counter("sharded/snapshots");
   }
@@ -361,11 +324,6 @@ class ShardedMap {
 
   std::atomic<std::uint64_t> snapshots_{0};
   std::atomic<std::uint64_t> snapshot_retries_{0};
-
-  // publish_shard_metrics bookkeeping (guarded by metrics_mu_).
-  std::mutex metrics_mu_;
-  std::vector<std::uint64_t> last_ops_;
-  std::vector<std::uint64_t> last_batches_;
 };
 
 }  // namespace mvcc::txn

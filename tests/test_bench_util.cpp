@@ -1,6 +1,7 @@
 // Tests for the bench harness glue in bench/bench_util.h: the steady-state
 // driver's thread lifecycle, warm-up/window phases and window deltas, and
-// the environment-knob helpers' floors and clamps. Every suite name starts
+// the environment-knob helpers' floors and clamps, and the per-shard
+// gauges of the sharded cells. Every suite name starts
 // with "BenchDriver" so CI's TSan job can select this tier with
 // `ctest -R '...|BenchDriver'`.
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "mvcc/txn/sharded.h"
+#include "mvcc/vm/pswf.h"
 
 namespace {
 
@@ -178,6 +181,28 @@ TEST(BenchDriver, CellAndWarmupSecondsRejectBadValues) {
   }
   ScopedEnv env("MVCC_WARMUP_SECONDS", "-3");
   EXPECT_DOUBLE_EQ(bench::warmup_seconds(), 0.0);
+}
+
+TEST(BenchDriver, RecordShardOpsCountsOnlyTheCellsMap) {
+  using SMap = txn::ShardedMap<std::uint64_t, std::uint64_t,
+                               ftree::NoAug<std::uint64_t, std::uint64_t>,
+                               vm::PswfVersionManager>;
+  auto& reg = obs::registry();
+  // Two maps in turn under one cell name, as a sweep rerun would build
+  // them: the second map's gauges hold its own ops, not a running sum.
+  for (int run = 0; run < 2; ++run) {
+    SMap map(1, {}, /*shards=*/2);
+    for (std::uint64_t k = 0; k < 1000; ++k) {
+      map.submit(0, txn::BatchOp::kUpsert, k, k);
+    }
+    map.flush_all();
+    bench::record_shard_ops("cell", map);
+    const std::int64_t s0 = reg.gauge("cell/shard0/ops").value();
+    const std::int64_t s1 = reg.gauge("cell/shard1/ops").value();
+    EXPECT_GT(s0, 0);
+    EXPECT_GT(s1, 0);
+    EXPECT_EQ(s0 + s1, 1000);
+  }
 }
 
 }  // namespace

@@ -77,16 +77,6 @@ TEST(Env, ScaledSaturatesInsteadOfOverflowing) {
   config_with("MVCC_SCALE", nullptr);
 }
 
-TEST(Env, GrainDefaultsOverridesAndRejectsNonPositive) {
-  EXPECT_EQ(config_with("MVCC_GRAIN", nullptr).grain, 2048);
-  EXPECT_EQ(config_with("MVCC_GRAIN", "64").grain, 64);
-  // A grain of 0 would fork every node.
-  EXPECT_EQ(config_with("MVCC_GRAIN", "0").grain, 2048);
-  EXPECT_EQ(config_with("MVCC_GRAIN", "-5").grain, 2048);
-  EXPECT_EQ(config_with("MVCC_GRAIN", "junk").grain, 2048);
-  config_with("MVCC_GRAIN", nullptr);
-}
-
 TEST(Env, ThreadsIsPositive) {
   EXPECT_GE(config_with("MVCC_THREADS", nullptr).threads, 1);
   EXPECT_EQ(config_with("MVCC_THREADS", "5").threads, 5);
@@ -98,40 +88,26 @@ TEST(Env, ThreadsIsPositive) {
   unsetenv("MVCC_THREADS");
 }
 
-TEST(Env, GrainClampsTinyValuesToFloor) {
-  // Grains below kGrainFloor make bulk ops fork per handful of nodes; the
-  // parser clamps them up rather than letting a typo'd knob fall off a
-  // scheduling cliff. Non-positive values still mean "use the default".
-  EXPECT_EQ(config_with("MVCC_GRAIN", "1").grain, kGrainFloor);
-  EXPECT_EQ(config_with("MVCC_GRAIN", "63").grain, kGrainFloor);
-  // The floor itself passes through.
-  EXPECT_EQ(config_with("MVCC_GRAIN", "64").grain, 64);
-  config_with("MVCC_GRAIN", nullptr);
-}
-
 TEST(Env, ConfigFromEnvSeedsEveryKnob) {
   setenv("MVCC_SCALE", "2.0", 1);
   setenv("MVCC_THREADS", "3", 1);
-  setenv("MVCC_GRAIN", "512", 1);
   Config c = Config::from_env();
   EXPECT_DOUBLE_EQ(c.scale, 2.0);
   EXPECT_EQ(c.threads, 3);
-  EXPECT_EQ(c.grain, 512);
   EXPECT_EQ(c.scaled(1000), 2000);
   EXPECT_EQ(c.scaled(0), 0);  // zero base is exempt from the >=1 clamp
   unsetenv("MVCC_SCALE");
   unsetenv("MVCC_THREADS");
-  unsetenv("MVCC_GRAIN");
 }
 
 TEST(Env, ReloadConfigReseedsTheProcessSingleton) {
   const Config saved = config();
-  setenv("MVCC_GRAIN", "4096", 1);
+  setenv("MVCC_THREADS", "7", 1);
   reload_config();
-  EXPECT_EQ(config().grain, 4096);
-  unsetenv("MVCC_GRAIN");
+  EXPECT_EQ(config().threads, 7);
+  unsetenv("MVCC_THREADS");
   reload_config();
-  EXPECT_EQ(config().grain, saved.grain);
+  EXPECT_EQ(config().threads, saved.threads);
 }
 
 TEST(Rng, DeterministicPerSeed) {

@@ -496,8 +496,8 @@ TEST(Ftree, UniformRewritesKeepBlocksWhole) {
 
 TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
   // 64 keys into a 2^17-key version is about 384 estimated copies, below
-  // the two fork_work() (1024 at the default grain) a first fork needs, so
-  // it must not fork; a batch of 2^14 keys is far above and must.
+  // the two fork_work() (1024) a first fork needs, so it must not fork; a
+  // batch of 2^14 keys is far above and must.
   // exec/tasks counts every fork the pool runs.
   const long long base_live = ftree::live_nodes();
   obs::set_enabled(true);

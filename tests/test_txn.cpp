@@ -405,32 +405,35 @@ TEST(TxnYcsb, MixesMatchTheirSpecs) {
 
 // ---------------------------------------------------------------------------
 // Commit reclamation (alloc/reclaim.h reclaim_retired): a commit whose work
-// estimate reaches 2 * config().grain hands its retired versions to the
+// estimate reaches 2 * Config::grain hands its retired versions to the
 // background lane unless the lane still holds a batch; smaller commits free
 // inline. These tests pin the rule, the precision guarantees (live_nodes
 // back to baseline after the destructor's quiesce) and the latency win the
 // background lane exists for.
 
-// Scoped override of the defer threshold, 2 * config().grain. bulk_grain
-// latches the real grain first, so the bulk ops keep their fork grain.
-struct GrainGuard {
-  explicit GrainGuard(long grain) : saved(config().grain) {
-    (void)ftree::bulk_grain();
-    config().grain = grain;
-  }
-  ~GrainGuard() { config().grain = saved; }
-  long saved;
-};
+// Distinct keys that make one commit into a non-empty map large: each key
+// costs at least its block copy (ftree::kLeafWork), so the commit's work
+// estimate reaches the defer threshold.
+constexpr std::uint64_t kLargeCommit = 2 * Config::grain;
 
-// Every commit of a non-trivial map is above the threshold.
-constexpr long kDeferAll = 1;
+// Keys the large-commit tests write back to back. The flattener commits a
+// partial batch early only after its rings stay empty for kIdlePatience
+// polls; a run it cuts even three times still commits one piece of at
+// least kLargeCommit keys.
+constexpr std::uint64_t kLargeRun = 4 * kLargeCommit;
 
-// Fills keys [0, n) and commits them.
-void fill(PswfMap& map, std::uint64_t n) {
+// Writes v + k to each key k in [0, n) and waits for them to commit.
+void fill(PswfMap& map, std::uint64_t n, std::uint64_t v = 0) {
   for (std::uint64_t k = 0; k < n; ++k) {
-    map.submit(0, txn::BatchOp::kUpsert, k, k);
+    map.submit(0, txn::BatchOp::kUpsert, k, v + k);
   }
   map.flush_all();
+}
+
+// A map holding keys [0, n), built rather than committed, so no commit has
+// used the lane yet.
+PswfMap::Map built_map(std::uint64_t n) {
+  return PswfMap::Map::from_entries(workload::ycsb_dataset(n));
 }
 
 // Nodes reachable from the map's current version (the GC oracle).
@@ -441,18 +444,21 @@ std::size_t current_nodes(PswfMap& map) {
       {txn.map().root()});
 }
 
+// Live nodes outside the map's current version.
+long long other_nodes(PswfMap& map) {
+  return ftree::live_nodes() - static_cast<long long>(current_nodes(map));
+}
+
 // Fills the map, then runs one-key sync commits, each of which must have
 // freed its retired path before upsert_sync returns: the live nodes are
 // exactly those of the current version. (A written key may split its leaf
 // block, so the count itself can move from commit to commit.)
 void expect_commits_free_inline(PswfMap& map) {
   fill(map, 512);
-  const long long others =
-      ftree::live_nodes() - static_cast<long long>(current_nodes(map));
+  const long long others = other_nodes(map);
   for (std::uint64_t i = 0; i < 20; ++i) {
     map.upsert_sync(0, i, i + 1);
-    EXPECT_EQ(ftree::live_nodes() - others,
-              static_cast<long long>(current_nodes(map)));
+    EXPECT_EQ(other_nodes(map), others);
   }
 }
 
@@ -461,10 +467,9 @@ TEST(TxnReclaim, LargeCommitDefersToBackgroundLane) {
   obs::Counter& deferred = alloc::ReclaimStats::get().deferred;
   const std::uint64_t deferred0 = deferred.value();
   {
-    GrainGuard grain(kDeferAll);
-    PswfMap map(1, {});
-    fill(map, 512);
-    for (std::uint64_t i = 0; i < 20; ++i) map.upsert_sync(0, i, i + 1);
+    // The lane is idle until the run's first large piece commits.
+    PswfMap map(1, built_map(kLargeRun));
+    fill(map, kLargeRun, 1);
   }
   obs::set_enabled(false);
   EXPECT_GT(deferred.value(), deferred0);
@@ -483,39 +488,55 @@ TEST(TxnReclaim, SmallCommitFreesBeforeSyncReturns) {
   EXPECT_EQ(alloc::ReclaimStats::get().deferred.value(), deferred0);
 }
 
-// A pool payload whose destructor blocks until `open` is set.
-struct LaneBlocker {
-  explicit LaneBlocker(std::atomic<bool>* o) : open(o) {}
-  ~LaneBlocker() {
+// A pool payload whose destructor reports that it started (through
+// `entered`, when given), then blocks until `open` is set.
+struct FreeBlocker {
+  explicit FreeBlocker(std::atomic<bool>* o, std::atomic<bool>* e = nullptr)
+      : open(o), entered(e) {}
+  ~FreeBlocker() {
+    if (entered != nullptr) entered->store(true, std::memory_order_release);
     while (!open->load(std::memory_order_acquire)) std::this_thread::yield();
   }
   std::atomic<bool>* open;
+  std::atomic<bool>* entered;
 };
 
 TEST(TxnReclaim, BusyLaneSendsLargeCommitInline) {
   // Occupy the lane with one batch that cannot finish until `open` is set.
   std::atomic<bool> open{false};
   alloc::reclaim_retired(
-      std::vector<LaneBlocker*>{alloc::create<LaneBlocker>(&open)},
+      std::vector<FreeBlocker*>{alloc::create<FreeBlocker>(&open)},
       /*work=*/~std::uint64_t{0});
+  obs::set_enabled(true);
+  const std::uint64_t deferred0 = alloc::ReclaimStats::get().deferred.value();
   {
-    GrainGuard grain(kDeferAll);
+    // Large commits behind the held lane free inline: none is deferred,
+    // and once the flush returns the live nodes are exactly those of the
+    // current version.
     PswfMap map(1, {});
-    expect_commits_free_inline(map);
+    fill(map, kLargeRun);
+    const long long others = other_nodes(map);
+    for (std::uint64_t v = 1; v <= 4; ++v) {
+      fill(map, kLargeRun, v);
+      EXPECT_EQ(other_nodes(map), others);
+    }
+    EXPECT_EQ(alloc::ReclaimStats::get().deferred.value(), deferred0);
     EXPECT_EQ(alloc::reclaim_queue_depth().load(), 1);
     open.store(true, std::memory_order_release);
   }
+  obs::set_enabled(false);
   EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
   const long long base_live = ftree::live_nodes();
   {
-    GrainGuard grain(kDeferAll);
-    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/64);
-    for (std::uint64_t i = 0; i < 2000; ++i) {
-      map.submit(static_cast<int>(i % 2), txn::BatchOp::kUpsert, i % 512, i);
-      if (i % 97 == 0) (void)map.get(static_cast<int>(i % 2), i % 512);
+    // Two producers fill the map, then overwrite it in large commits.
+    PswfMap map(2, {});
+    for (std::uint64_t i = 0; i < 2 * kLargeRun; ++i) {
+      const int p = static_cast<int>(i % 2);
+      map.submit(p, txn::BatchOp::kUpsert, i % kLargeRun, i);
+      if (i % 97 == 0) (void)map.get(p, i % kLargeRun);
     }
     map.flush_all();
   }
@@ -527,14 +548,13 @@ TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
 TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
   const long long base_live = ftree::live_nodes();
   {
-    GrainGuard grain(kDeferAll);
-    // max_batch=1 maximizes retirements: every commit either claims the
-    // lane or frees inline behind it, so a batch is usually still pending
-    // when the destructor runs (no flush, no explicit quiesce — teardown
-    // must drain it; the ASan tier turns any miss into a leak report).
-    PswfMap map(1, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/1);
-    for (std::uint64_t i = 0; i < 1500; ++i) {
-      map.submit(0, txn::BatchOp::kUpsert, i % 1024, i);
+    // Back-to-back large commits: each either claims the lane or frees
+    // inline behind it, so a batch is usually still pending when the
+    // destructor runs (no flush, no explicit quiesce — teardown must drain
+    // it; the ASan tier turns any miss into a leak report).
+    PswfMap map(1, built_map(kLargeRun));
+    for (std::uint64_t i = 0; i < 4 * kLargeRun; ++i) {
+      map.submit(0, txn::BatchOp::kUpsert, i % kLargeRun, i);
     }
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
@@ -544,8 +564,7 @@ TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
 TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
   const long long base_live = ftree::live_nodes();
   {
-    GrainGuard grain(kDeferAll);
-    PswfMap map(2, {}, /*buffer_capacity=*/1 << 10, /*max_batch=*/32);
+    PswfMap map(2, {});
     std::atomic<bool> stop{false};
     std::thread reader([&] {
       std::uint64_t last = 0;
@@ -558,13 +577,11 @@ TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
           last = *v;
         }
         auto txn = map.read_txn(1);
-        EXPECT_LE(txn.map().size(), 257u);
+        EXPECT_LE(txn.map().size(), kLargeRun);
       }
     });
-    for (std::uint64_t i = 1; i <= 1200; ++i) {
-      map.upsert_sync(0, 7, i);
-      map.submit(0, txn::BatchOp::kUpsert, i % 256 + 100, i);
-    }
+    // Every round after the first overwrites the map in large commits.
+    for (std::uint64_t v = 0; v < 8; ++v) fill(map, kLargeRun, v);
     stop.store(true, std::memory_order_release);
     reader.join();
   }
@@ -582,37 +599,53 @@ struct SlowToFree {
   ~SlowToFree() { std::this_thread::sleep_for(kRetireCost); }
 };
 
-// p99 latency of an upsert_sync whose commit retires a SlowToFree, with the
-// defer threshold at `grain`'s. Below the threshold the commit path the
-// sync waiter is parked on pays the destructor; above it the commit
-// publishes the retired version to the background lane in O(1).
-double p99_sync_commit_us(long grain) {
-  using Slow = std::shared_ptr<SlowToFree>;
-  using NMap = txn::BatchingMap<std::uint64_t, Slow,
-                                ftree::NoAug<std::uint64_t, Slow>,
+// p99 latency of a commit of `keys` distinct keys whose retired version
+// holds a SlowToFree's last reference, timed from the release of the
+// parked flattener to the commit's ticket. Below the defer threshold the
+// commit pays the destructor before its ticket commits; above it the
+// commit publishes the retired version to the background lane in O(1).
+double p99_sync_commit_us(std::uint64_t keys) {
+  using Val = std::shared_ptr<void>;
+  using NMap = txn::BatchingMap<std::uint64_t, Val,
+                                ftree::NoAug<std::uint64_t, Val>,
                                 vm::PswfVersionManager>;
   constexpr std::uint64_t kRounds = 32;
-  GrainGuard guard(grain);
-  // The lane holds one batch at a time and a commit behind a busy lane
-  // frees inline by design, so every commit here starts on an idle lane.
-  const auto idle_lane = [] {
-    while (alloc::reclaim_queue_depth().load() != 0) std::this_thread::yield();
-  };
-  std::vector<std::pair<std::uint64_t, Slow>> base;
-  for (std::uint64_t k = 0; k < 512; ++k) base.emplace_back(k, Slow{});
-  obs::LatencyHistogram lat;
-  // A one-slot ring drops its copy of a value at the next submit, so when
-  // a key's SlowToFree is overwritten the retired version holds the last
-  // reference.
-  NMap map(1, NMap::Map::from_entries(base), /*buffer_capacity=*/1,
-           /*max_batch=*/1);
+  // Round r overwrites kHold + r, whose FreeBlocker parks the flattener
+  // inside that one-key commit's inline free while the whole batch is
+  // queued, then keys [0, keys - 1) and kSlow + r, whose SlowToFree the
+  // batch's commit retires.
+  constexpr std::uint64_t kSlow = 1 << 20;
+  constexpr std::uint64_t kHold = 2 << 20;
+  std::atomic<bool> open{false};
+  std::atomic<bool> entered{false};
+  std::vector<std::pair<std::uint64_t, Val>> base;
+  for (std::uint64_t k = 0; k + 1 < keys; ++k) base.emplace_back(k, Val{});
   for (std::uint64_t r = 0; r < kRounds; ++r) {
-    const std::uint64_t key = 1000 + r;
-    idle_lane();
-    map.upsert_sync(0, key, std::make_shared<SlowToFree>());
-    idle_lane();
+    base.emplace_back(kSlow + r, std::make_shared<SlowToFree>());
+    base.emplace_back(kHold + r,
+                      std::make_shared<FreeBlocker>(&open, &entered));
+  }
+  // Built from the moved vector and written only with empty values, so
+  // the tree holds the last reference to every payload.
+  NMap map(1, NMap::Map::from_entries(std::move(base)),
+           /*buffer_capacity=*/2 * keys);
+  obs::LatencyHistogram lat;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    // The lane holds one batch at a time and a commit behind a busy lane
+    // frees inline by design, so every commit here starts on an idle lane.
+    while (alloc::reclaim_queue_depth().load() != 0) std::this_thread::yield();
+    open.store(false, std::memory_order_relaxed);
+    entered.store(false, std::memory_order_relaxed);
+    map.submit(0, txn::BatchOp::kUpsert, kHold + r, Val{});
+    while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (std::uint64_t k = 0; k + 1 < keys; ++k) {
+      map.submit(0, txn::BatchOp::kUpsert, k, Val{});
+    }
+    map.submit(0, txn::BatchOp::kUpsert, kSlow + r, Val{});
+    const std::uint64_t ticket = map.submitted_ticket(0);
     Timer t;
-    map.upsert_sync(0, key, Slow{});
+    open.store(true, std::memory_order_release);
+    map.wait_committed(0, ticket);
     lat.record(t.nanos());
   }
   return lat.quantile(0.99) / 1000.0;
@@ -620,10 +653,10 @@ double p99_sync_commit_us(long grain) {
 
 TEST(ReclaimLatency, SyncCommitP99DoesNotInheritRetirementFrees) {
   const long long base_live = ftree::live_nodes();
-  // At the default grain every one-key commit here is below the
-  // threshold; at kDeferAll every one is above it.
-  const double inline_p99_us = p99_sync_commit_us(config().grain);
-  const double bg_p99_us = p99_sync_commit_us(kDeferAll);
+  // A one-key commit is below the threshold; a commit of kLargeCommit
+  // keys into the non-empty map is above it.
+  const double inline_p99_us = p99_sync_commit_us(1);
+  const double bg_p99_us = p99_sync_commit_us(kLargeCommit);
   RecordProperty("inline_p99_us", static_cast<int>(inline_p99_us));
   RecordProperty("bg_p99_us", static_cast<int>(bg_p99_us));
   // Inline p99 has a hard floor of kRetireCost (the destructor sleep on
