@@ -39,6 +39,14 @@
 // ~max_batch (capped by ring capacity): a submitted op always lands in the
 // batch being filled or the one after it, so its commit is at most about
 // two batch publications away.
+//
+// Waiting: every wait on a producer's committed cursor (upsert_sync and
+// wait_committed, submit's admission control, flush_all) yields for
+// kSpinWindowNs, which covers a small commit, and then sleeps in
+// std::atomic::wait on that cursor. A sleeper counts itself in its ring's
+// `sleepers`; the flattener calls notify_all after advancing a cursor only
+// when that count is non-zero. So a short commit is never charged a futex
+// round trip, and a long one leaves the producers' CPUs to the flattener.
 #pragma once
 
 #include <algorithm>
@@ -74,6 +82,8 @@ namespace mvcc::txn {
 //                             waiter was parked on rings that ran dry
 //   txn/admission_rejects     submit calls that blocked on the in-flight
 //                             bound before their op was admitted
+//   txn/waiter_sleeps         waits on a committed cursor that outlasted
+//                             the spin window and went to sleep
 //   txn/stage/form_ns         batch formation: first op drained into a
 //                             batch to the start of its commit
 //   txn/stage/<stage>_ns      one commit's time in each stage, recorded
@@ -89,6 +99,7 @@ struct BatchingStats {
   obs::LatencyHistogram& commit_latency_ns;
   obs::Counter& flattener_stalls;
   obs::Counter& admission_rejects;
+  obs::Counter& waiter_sleeps;
   obs::LatencyHistogram& stage_form_ns;
   obs::LatencyHistogram& stage_prepare_ns;
   obs::LatencyHistogram& stage_insert_ns;
@@ -101,6 +112,7 @@ struct BatchingStats {
         obs::registry().histogram("txn/commit_latency_ns"),
         obs::registry().counter("txn/flattener_stalls"),
         obs::registry().counter("txn/admission_rejects"),
+        obs::registry().counter("txn/waiter_sleeps"),
         obs::registry().histogram("txn/stage/form_ns"),
         obs::registry().histogram("txn/stage/prepare_ns"),
         obs::registry().histogram("txn/stage/insert_ns"),
@@ -209,7 +221,8 @@ class BatchingMap {
   }
 
   // Asynchronous update: enqueues and returns. Blocks only for admission
-  // control (the op is at most ~2 batch publications from commit then).
+  // control (the op is at most ~2 batch publications from commit then),
+  // spinning and then sleeping until a commit frees a slot (see the header).
   void submit(int p, BatchOp op, const K& k, const V& v) {
     assert(p >= 0 && p < producers_);
     Ring& r = *rings_[static_cast<std::size_t>(p)];
@@ -218,10 +231,8 @@ class BatchingMap {
       // Admission control rejected the op on first try; count the blocked
       // submit once, then wait out the backlog.
       if (obs::enabled()) BatchingStats::get().admission_rejects.add();
-      while (t - r.committed.load(std::memory_order_acquire) >=
-             inflight_limit_) {
-        std::this_thread::yield();
-      }
+      // Admitted once fewer than inflight_limit_ ops are uncommitted.
+      await_committed(r, t - inflight_limit_ + 1);
     }
     Slot& s = r.slots[t & r.mask];
     s.key = k;
@@ -240,7 +251,8 @@ class BatchingMap {
   // visible to every subsequent get/read_txn. The parked ticket is visible
   // to the flattener, which commits a partial batch as soon as every ring
   // has run dry with a sync waiter already drained — a producer blocked
-  // here never waits on a batch that cannot fill.
+  // here never waits on a batch that cannot fill. The wait is
+  // wait_committed's: a spin, then a sleep the commit wakes.
   void upsert_sync(int p, const K& k, const V& v) {
     if (!obs::enabled()) {
       upsert_sync_impl(p, k, v);
@@ -283,21 +295,24 @@ class BatchingMap {
   // Parks until producer p's ops up to `ticket` are committed, with the
   // parked ticket visible to the flattener's stall detection (a partial
   // batch commits as soon as the rings run dry with this waiter drained).
-  // Same serialization contract as submit: one thread per producer index.
+  // The ticket is published before the wait starts, so it is visible while
+  // the waiter spins and while it sleeps; the commit that reaches it wakes
+  // it. Same serialization contract as submit: one thread per producer
+  // index.
   void wait_committed(int p, std::uint64_t ticket) {
     assert(p >= 0 && p < producers_);
     Ring& r = *rings_[static_cast<std::size_t>(p)];
     if (r.committed.load(std::memory_order_acquire) >= ticket) return;
     r.sync_waiting.store(ticket, std::memory_order_release);
-    while (r.committed.load(std::memory_order_acquire) < ticket) {
-      std::this_thread::yield();
-    }
+    await_committed(r, ticket);
     r.sync_waiting.store(0, std::memory_order_release);
   }
 
   // Drains: waits until every op submitted before this call is committed.
   // While any flush is waiting the flattener commits eagerly instead of
   // filling batches, so the wait is bounded by the backlog, not the bound.
+  // Each ring's wait spins and then sleeps until a commit wakes it; any
+  // number of threads may flush at once.
   void flush_all() {
     std::vector<std::uint64_t> target(static_cast<std::size_t>(producers_));
     for (int p = 0; p < producers_; ++p) {
@@ -307,11 +322,8 @@ class BatchingMap {
     }
     flush_waiters_.fetch_add(1, std::memory_order_acq_rel);
     for (int p = 0; p < producers_; ++p) {
-      Ring& r = *rings_[static_cast<std::size_t>(p)];
-      while (r.committed.load(std::memory_order_acquire) <
-             target[static_cast<std::size_t>(p)]) {
-        std::this_thread::yield();
-      }
+      await_committed(*rings_[static_cast<std::size_t>(p)],
+                      target[static_cast<std::size_t>(p)]);
     }
     flush_waiters_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -345,6 +357,9 @@ class BatchingMap {
     alignas(64) std::atomic<std::uint64_t> pushed{0};
     alignas(64) std::atomic<std::uint64_t> popped{0};
     alignas(64) std::atomic<std::uint64_t> committed{0};
+    // Threads asleep in await_committed on `committed`. It shares the
+    // cursor's line: the flattener reads it right after each cursor store.
+    std::atomic<int> sleepers{0};
     // Ticket (pushed cursor value, so never 0) of a producer parked in
     // upsert_sync; 0 when none. Written by the producer, read by the
     // flattener's stall detection.
@@ -357,11 +372,41 @@ class BatchingMap {
   // upsert_sync at once — and is never hit under load.
   static constexpr int kIdlePatience = 64;
 
+  // How long a wait on a committed cursor yields before it sleeps. It
+  // covers a small commit, so only waits that would outlast one pay the
+  // futex round trip (28-36 us at p50 on a 4-vCPU x86-64 VM). A 200 us
+  // window measured no faster on the repository benchmark and left the
+  // waiters more CPU to contend with the flattener for.
+  static constexpr std::uint64_t kSpinWindowNs = 50'000;
+
   int writer_pid() const { return producers_; }
 
   void upsert_sync_impl(int p, const K& k, const V& v) {
     submit(p, BatchOp::kUpsert, k, v);
     wait_committed(p, submitted_ticket(p));
+  }
+
+  // The one wait on a committed cursor: returns once r.committed reaches
+  // `target`. Yields for kSpinWindowNs, then sleeps on the cursor. No wake
+  // is lost: the sleeper counts itself (seq_cst) before it reads the
+  // cursor it sleeps on, and commit() stores the cursor (seq_cst) before it
+  // reads the count, so either commit() sees the sleeper and notifies, or
+  // the sleeper's read (and hence its wait) sees the new cursor.
+  void await_committed(Ring& r, std::uint64_t target) {
+    if (r.committed.load(std::memory_order_acquire) >= target) return;
+    Timer spin;
+    do {
+      std::this_thread::yield();
+      if (r.committed.load(std::memory_order_acquire) >= target) return;
+    } while (spin.nanos() < kSpinWindowNs);
+    if (obs::enabled()) BatchingStats::get().waiter_sleeps.add();
+    r.sleepers.fetch_add(1, std::memory_order_seq_cst);
+    for (;;) {
+      const std::uint64_t seen = r.committed.load(std::memory_order_seq_cst);
+      if (seen >= target) break;
+      r.committed.wait(seen, std::memory_order_acquire);
+    }
+    r.sleepers.fetch_sub(1, std::memory_order_relaxed);
   }
 
   void flatten_loop() {
@@ -465,8 +510,8 @@ class BatchingMap {
   // through the VM, hand what it proved unreachable to reclaim_retired
   // (which picks the lane from the commit's size), then advance the
   // per-producer committed cursors (which is what releases upsert_sync
-  // waiters and admission control). Under stats each stage's time is one
-  // lap of `laps` (see BatchingStats).
+  // waiters, admission control and flushes, waking the ones asleep). Under
+  // stats each stage's time is one lap of `laps` (see BatchingStats).
   void commit(std::vector<Entry>& batch, const std::vector<std::uint64_t>& from,
               std::size_t raw_ops) {
     obs::TraceSpan span("txn/flattener_commit", raw_ops);
@@ -495,8 +540,13 @@ class BatchingMap {
       const std::uint64_t n = from[static_cast<std::size_t>(p)];
       if (n == 0) continue;
       Ring& r = *rings_[static_cast<std::size_t>(p)];
+      // Store, then read the sleeper count, both seq_cst: the order
+      // await_committed's no-lost-wake argument rests on.
       r.committed.store(r.committed.load(std::memory_order_relaxed) + n,
-                        std::memory_order_release);
+                        std::memory_order_seq_cst);
+      if (r.sleepers.load(std::memory_order_seq_cst) != 0) {
+        r.committed.notify_all();
+      }
     }
     if (stats != nullptr) stats->stage_reclaim_ns.record(laps.lap());
   }

@@ -6,10 +6,13 @@
 // this concurrency tier alongside Vm with `ctest -R 'Vm|Txn'`.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -586,6 +589,160 @@ TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
     reader.join();
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
+// ---------------------------------------------------------------------------
+// Waiting on a commit: a wait that outlasts the spin window sleeps on the
+// committed cursor, and the commit that advances it wakes the sleeper.
+
+using Val = std::shared_ptr<void>;
+using ValMap = txn::BatchingMap<std::uint64_t, Val,
+                                ftree::NoAug<std::uint64_t, Val>,
+                                vm::PswfVersionManager>;
+
+// CPU time the calling thread has used, in seconds.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// The calling thread's CPU time and the wall time `call` took.
+struct CallCost {
+  double cpu = 0;
+  double wall = 0;
+};
+
+template <class F>
+CallCost cost_of(F&& call) {
+  const double cpu0 = thread_cpu_seconds();
+  Timer wall;
+  call();
+  return {thread_cpu_seconds() - cpu0, wall.seconds()};
+}
+
+TEST(TxnBatching, BlockedWaitersSleep) {
+  constexpr std::uint64_t kHold = 1 << 20;
+  constexpr auto kHeld = std::chrono::milliseconds(200);
+  std::atomic<bool> open{false};
+  std::atomic<bool> entered{false};
+  obs::set_enabled(true);
+  obs::Counter& sleeps = txn::BatchingStats::get().waiter_sleeps;
+  const std::uint64_t sleeps0 = sleeps.value();
+  CallCost sync, admit, flush;
+  {
+    std::vector<std::pair<std::uint64_t, Val>> base;
+    base.emplace_back(kHold, std::make_shared<FreeBlocker>(&open, &entered));
+    // The tree holds the FreeBlocker's last reference, so overwriting kHold
+    // parks the flattener inside that one-key commit's inline free, before
+    // it advances any cursor. max_batch 1 and capacity 2 bound each
+    // producer to 2 ops in flight.
+    ValMap map(3, ValMap::Map::from_entries(std::move(base)),
+               /*buffer_capacity=*/2, /*max_batch=*/1);
+    map.submit(0, txn::BatchOp::kUpsert, kHold, Val{});
+    while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
+    // Producer 2 fills its in-flight bound, so its next submit blocks.
+    map.submit(2, txn::BatchOp::kUpsert, 1, Val{});
+    map.submit(2, txn::BatchOp::kUpsert, 2, Val{});
+    std::thread a(
+        [&] { sync = cost_of([&] { map.upsert_sync(1, 3, Val{}); }); });
+    std::thread b([&] {
+      admit = cost_of([&] { map.submit(2, txn::BatchOp::kUpsert, 4, Val{}); });
+    });
+    std::thread c([&] { flush = cost_of([&] { map.flush_all(); }); });
+    std::this_thread::sleep_for(kHeld);
+    open.store(true, std::memory_order_release);
+    a.join();
+    b.join();
+    c.join();
+    map.flush_all();
+    EXPECT_EQ(map.ops_committed(), 5u);
+  }
+  const std::uint64_t slept = sleeps.value() - sleeps0;
+  obs::set_enabled(false);
+  const std::pair<const char*, CallCost> calls[] = {
+      {"upsert_sync", sync}, {"submit", admit}, {"flush_all", flush}};
+  for (const auto& [name, c] : calls) {
+    // Each call waited out most of the hold, and slept through it.
+    EXPECT_GT(c.wall, 0.1) << name;
+    EXPECT_LT(c.cpu, 0.1 * c.wall) << name << " used " << c.cpu
+                                   << " s of CPU in " << c.wall << " s";
+  }
+  EXPECT_GE(slept, 3u);
+}
+
+// Payload whose last release naps: a commit that frees an overwritten one
+// outlasts the spin window, so the waits behind it sleep.
+struct Nap {
+  ~Nap() { std::this_thread::sleep_for(std::chrono::microseconds(150)); }
+};
+
+// Four producers each wait for every op they write, one op per commit, and
+// most commits free a Nap, so nearly every wait sleeps; a fifth thread
+// flushes in a loop. Producer p writes (p + 1) * kOps / 4 ops, so the run
+// ends with one producer alone: there no other ring's wake-up can rouse a
+// waiter whose own was lost (std::atomic::wait may share one futex between
+// the cursors). A lost wake-up leaves a waiter asleep forever, so the run
+// has a deadline: a hung run fails (its state is leaked and its threads
+// detached) instead of hanging the suite.
+TEST(TxnBatching, NoLostWakeUpUnderChurn) {
+  constexpr int kProducers = 4;
+  constexpr std::uint64_t kOps = 2000;
+  constexpr std::uint64_t kTotal = kOps * (1 + 2 + 3 + 4) / kProducers;
+  constexpr std::uint64_t kKeys = 64;
+  constexpr auto kDeadline = std::chrono::seconds(30);
+  struct Churn {
+    ValMap map{kProducers, {}, /*buffer_capacity=*/16, /*max_batch=*/1};
+    std::atomic<int> producers_done{0};
+    std::atomic<bool> flusher_done{false};
+    std::atomic<std::uint64_t> stale_reads{0};
+  };
+  obs::set_enabled(true);
+  obs::Counter& sleeps = txn::BatchingStats::get().waiter_sleeps;
+  const std::uint64_t sleeps0 = sleeps.value();
+  auto* run = new Churn;
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([run, p] {
+      const std::uint64_t ops = kOps * static_cast<std::uint64_t>(p + 1) /
+                                kProducers;
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        const std::uint64_t k =
+            static_cast<std::uint64_t>(p) + kProducers * (i % kKeys);
+        const Val mine = std::make_shared<Nap>();
+        run->map.upsert_sync(p, k, mine);
+        const std::optional<Val> v = run->map.get(p, k);
+        if (!v.has_value() || *v != mine) run->stale_reads.fetch_add(1);
+      }
+      run->producers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  threads.emplace_back([run] {
+    while (run->producers_done.load(std::memory_order_acquire) < kProducers) {
+      run->map.flush_all();
+    }
+    run->flusher_done.store(true, std::memory_order_release);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + kDeadline;
+  while (!run->flusher_done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!run->flusher_done.load(std::memory_order_acquire)) {
+    for (auto& t : threads) t.detach();
+    FAIL() << "a waiter was never woken: " << run->producers_done.load()
+           << " of " << kProducers << " producers finished in "
+           << kDeadline.count() << " s";
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(run->stale_reads.load(), 0u);
+  EXPECT_EQ(run->map.ops_committed(), kTotal);
+  delete run;
+  const std::uint64_t slept = sleeps.value() - sleeps0;
+  obs::set_enabled(false);
+  // The premise: most of the producers' waits slept.
+  EXPECT_GE(slept, kTotal / 2);
 }
 
 // Retired-value payload with a deliberately expensive last-reference
