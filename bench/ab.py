@@ -8,7 +8,8 @@
 Exports both revisions with `git archive` into a work directory, builds each
 one's perfbench client once (each side has its own CARGO_TARGET_DIR), then
 runs `perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0`
-for every requested workload and pair, in each side's checkout. The side
+(n is BENCHMARK.json's run_seconds) for every requested workload and pair,
+in each side's checkout. The side
 that runs first alternates from pair to pair. Every result line is kept
 with its seed. With --sets K the pairs are run K times over (seeds continue
 across sets), so a claim can be checked on sets measured apart.
@@ -101,12 +102,13 @@ def main():
                     help="times the pairs are run over")
     ap.add_argument("--seed", type=int, default=1,
                     help="seed of the first pair; later pairs count up")
-    ap.add_argument("--seconds", type=int, default=10)
     ap.add_argument("--work", help="directory for the checkouts and builds "
                     "(default: a new temporary directory)")
     ap.add_argument("--note", default="", help="stored as the file's 'about'")
     ap.add_argument("--out", required=True, help="the BENCH file to write")
     args = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        seconds = json.load(f)["run_seconds"]
     workloads = args.workloads.split(",")
     for w in workloads:
         if w not in WORKLOADS:
@@ -122,13 +124,14 @@ def main():
     sets = []
     seed = args.seed
     for k in range(args.sets):
+        first_seed = seed
         runs = {side: {w: [] for w in workloads} for side in SIDES}
         first = {w: [] for w in workloads}
         for w in workloads:
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    line = run_one(work, side, w, seed, args.seconds)
+                    line = run_one(work, side, w, seed, seconds)
                     runs[side][w].append(line)
                     print("ab: set %d %s seed %d %s %s" % (
                         k + 1, w, seed, side,
@@ -137,7 +140,7 @@ def main():
                           file=sys.stderr)
                 first[w].append(order[0])
                 seed += 1
-        sets.append({"seeds": [seed - args.pairs, seed - 1], "runs": runs,
+        sets.append({"seeds": [first_seed, seed - 1], "runs": runs,
                      "first_in_pair": first})
 
     bench = {
@@ -145,11 +148,11 @@ def main():
         "date": datetime.date.today().isoformat(),
         "host": "%s, %d CPUs" % (platform.machine(), os.cpu_count()),
         "command": "python3 perfbench/run.py --workload <w> --seed <n> "
-                   "--seconds %d --trace 0" % args.seconds,
+                   "--seconds %d --trace 0" % seconds,
         "driver": "python3 bench/ab.py %s --change %s --workloads %s "
-                  "--pairs %d --sets %d --seed %d --seconds %d"
+                  "--pairs %d --sets %d --seed %d"
                   % (revs["parent"], revs["change"], ",".join(workloads),
-                     args.pairs, args.sets, args.seed, args.seconds),
+                     args.pairs, args.sets, args.seed),
         "parent_commit": revs["parent"],
         "change_commit": revs["change"],
         "runs": {side: {w: [line for s in sets for line in s["runs"][side][w]]

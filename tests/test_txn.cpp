@@ -666,8 +666,7 @@ TEST(TxnBatching, BlockedWaitersSleep) {
   for (const auto& [name, c] : calls) {
     // Each call waited out most of the hold, and slept through it.
     EXPECT_GT(c.wall, 0.1) << name;
-    EXPECT_LT(c.cpu, 0.1 * c.wall) << name << " used " << c.cpu
-                                   << " s of CPU in " << c.wall << " s";
+    EXPECT_LT(c.cpu, 0.1 * c.wall) << name << ": " << c.cpu << " s CPU";
   }
   EXPECT_GE(slept, 3u);
 }
@@ -705,8 +704,8 @@ TEST(TxnBatching, NoLostWakeUpUnderChurn) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([run, p] {
-      const std::uint64_t ops = kOps * static_cast<std::uint64_t>(p + 1) /
-                                kProducers;
+      const auto share = static_cast<std::uint64_t>(p + 1);
+      const std::uint64_t ops = kOps * share / kProducers;
       for (std::uint64_t i = 0; i < ops; ++i) {
         const std::uint64_t k =
             static_cast<std::uint64_t>(p) + kProducers * (i % kKeys);
