@@ -5,18 +5,20 @@
     python3 bench/ab.py HEAD~1 --change HEAD --workloads write-stream \\
         --pairs 10 --sets 2 --seed 3001 --out BENCH_<n>.json
 
-Exports both revisions with `git archive` into a work directory, builds each
-one's perfbench client once (each side has its own CARGO_TARGET_DIR), then
-runs `perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0`
+Exports both revisions with `git archive` into a work directory (a new
+temporary one, or --work DIR, which must not hold an earlier run's parent/
+or change/ checkout), builds each one's perfbench client once (each side has
+its own CARGO_TARGET_DIR), then runs
+`perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0`
 (n is BENCHMARK.json's run_seconds) for every requested workload and pair,
-in each side's checkout. The side
-that runs first alternates from pair to pair. Every result line is kept
+in each side's checkout. The side that runs first alternates from pair to
+pair. Every result line is kept
 with its seed. With --sets K the pairs are run K times over (seeds continue
 across sets), so a claim can be checked on sets measured apart.
 
 Writes a BENCH file in the shape bench/compare_bench.py reads: host, both
-commits, the command, runs.parent / runs.change (every set), first_in_pair,
-and, with --sets above 1, each set's seeds and comparator output. Then runs the comparator on
+commits, the command, runs.parent / runs.change (every set) and, with --sets
+above 1, each set's seeds and comparator output. Then runs the comparator on
 the whole file and exits with its status. Standard library only.
 """
 import argparse
@@ -40,13 +42,14 @@ def git(*args):
 
 
 def export(rev, dest):
-    """Extracts the committed tree of `rev` into dest."""
-    tar = dest + ".tar"
-    git("archive", "--format=tar", "-o", tar, rev)
+    """Extracts the committed tree of `rev` into dest, a new directory."""
     os.makedirs(dest)
-    with tarfile.open(tar) as t:
+    p = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                         stdout=subprocess.PIPE)
+    with tarfile.open(fileobj=p.stdout, mode="r|") as t:
         t.extractall(dest)
-    os.remove(tar)
+    if p.wait() != 0:
+        sys.exit("ab: git archive %s failed" % rev)
 
 
 def side_env(work, side):
@@ -104,7 +107,6 @@ def main():
                     help="seed of the first pair; later pairs count up")
     ap.add_argument("--work", help="directory for the checkouts and builds "
                     "(default: a new temporary directory)")
-    ap.add_argument("--note", default="", help="stored as the file's 'about'")
     ap.add_argument("--out", required=True, help="the BENCH file to write")
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -118,6 +120,10 @@ def main():
     work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="ab-"))
     os.makedirs(work, exist_ok=True)
     for side in SIDES:
+        if os.path.exists(os.path.join(work, side)):
+            sys.exit("ab: %s already holds a %s/ checkout; give --work a "
+                     "directory without an earlier run" % (work, side))
+    for side in SIDES:
         export(revs[side], os.path.join(work, side))
         build(work, side)
 
@@ -126,7 +132,6 @@ def main():
     for k in range(args.sets):
         first_seed = seed
         runs = {side: {w: [] for w in workloads} for side in SIDES}
-        first = {w: [] for w in workloads}
         for w in workloads:
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -138,13 +143,10 @@ def main():
                         json.dumps({m: v["value"] for m, v
                                     in line["metrics"].items()})),
                           file=sys.stderr)
-                first[w].append(order[0])
                 seed += 1
-        sets.append({"seeds": [first_seed, seed - 1], "runs": runs,
-                     "first_in_pair": first})
+        sets.append({"seeds": [first_seed, seed - 1], "runs": runs})
 
     bench = {
-        "about": args.note,
         "date": datetime.date.today().isoformat(),
         "host": "%s, %d CPUs" % (platform.machine(), os.cpu_count()),
         "command": "python3 perfbench/run.py --workload <w> --seed <n> "
@@ -157,8 +159,6 @@ def main():
         "change_commit": revs["change"],
         "runs": {side: {w: [line for s in sets for line in s["runs"][side][w]]
                         for w in workloads} for side in SIDES},
-        "first_in_pair": {w: [o for s in sets for o in s["first_in_pair"][w]]
-                          for w in workloads},
     }
     if args.sets > 1:
         # Each set's own verdicts; its run lines are already in "runs".

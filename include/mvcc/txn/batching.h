@@ -43,10 +43,9 @@
 // Waiting: every wait on a producer's committed cursor (upsert_sync and
 // wait_committed, submit's admission control, flush_all) yields for
 // kSpinWindowNs, which covers a small commit, and then sleeps in
-// std::atomic::wait on that cursor. A sleeper counts itself in its ring's
-// `sleepers`; the flattener calls notify_all after advancing a cursor only
-// when that count is non-zero. So a short commit is never charged a futex
-// round trip, and a long one leaves the producers' CPUs to the flattener.
+// std::atomic::wait on that cursor; the flattener calls notify_all after
+// each cursor it advances. So a short commit is never charged a futex round
+// trip, and a long one leaves the producers' CPUs to the flattener.
 #pragma once
 
 #include <algorithm>
@@ -357,9 +356,6 @@ class BatchingMap {
     alignas(64) std::atomic<std::uint64_t> pushed{0};
     alignas(64) std::atomic<std::uint64_t> popped{0};
     alignas(64) std::atomic<std::uint64_t> committed{0};
-    // Threads asleep in await_committed on `committed`. It shares the
-    // cursor's line: the flattener reads it right after each cursor store.
-    std::atomic<int> sleepers{0};
     // Ticket (pushed cursor value, so never 0) of a producer parked in
     // upsert_sync; 0 when none. Written by the producer, read by the
     // flattener's stall detection.
@@ -387,11 +383,9 @@ class BatchingMap {
   }
 
   // The one wait on a committed cursor: returns once r.committed reaches
-  // `target`. Yields for kSpinWindowNs, then sleeps on the cursor. No wake
-  // is lost: the sleeper counts itself (seq_cst) before it reads the
-  // cursor it sleeps on, and commit() stores the cursor (seq_cst) before it
-  // reads the count, so either commit() sees the sleeper and notifies, or
-  // the sleeper's read (and hence its wait) sees the new cursor.
+  // `target`. Yields for kSpinWindowNs, then sleeps on the cursor until
+  // commit()'s notify_all; a cursor stored before the wait starts is seen
+  // by the wait, so no wake is lost.
   void await_committed(Ring& r, std::uint64_t target) {
     if (r.committed.load(std::memory_order_acquire) >= target) return;
     Timer spin;
@@ -400,13 +394,11 @@ class BatchingMap {
       if (r.committed.load(std::memory_order_acquire) >= target) return;
     } while (spin.nanos() < kSpinWindowNs);
     if (obs::enabled()) BatchingStats::get().waiter_sleeps.add();
-    r.sleepers.fetch_add(1, std::memory_order_seq_cst);
     for (;;) {
-      const std::uint64_t seen = r.committed.load(std::memory_order_seq_cst);
-      if (seen >= target) break;
+      const std::uint64_t seen = r.committed.load(std::memory_order_acquire);
+      if (seen >= target) return;
       r.committed.wait(seen, std::memory_order_acquire);
     }
-    r.sleepers.fetch_sub(1, std::memory_order_relaxed);
   }
 
   void flatten_loop() {
@@ -540,13 +532,9 @@ class BatchingMap {
       const std::uint64_t n = from[static_cast<std::size_t>(p)];
       if (n == 0) continue;
       Ring& r = *rings_[static_cast<std::size_t>(p)];
-      // Store, then read the sleeper count, both seq_cst: the order
-      // await_committed's no-lost-wake argument rests on.
       r.committed.store(r.committed.load(std::memory_order_relaxed) + n,
-                        std::memory_order_seq_cst);
-      if (r.sleepers.load(std::memory_order_seq_cst) != 0) {
-        r.committed.notify_all();
-      }
+                        std::memory_order_release);
+      r.committed.notify_all();
     }
     if (stats != nullptr) stats->stage_reclaim_ns.record(laps.lap());
   }

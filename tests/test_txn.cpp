@@ -761,10 +761,6 @@ struct SlowToFree {
 // commit pays the destructor before its ticket commits; above it the
 // commit publishes the retired version to the background lane in O(1).
 double p99_sync_commit_us(std::uint64_t keys) {
-  using Val = std::shared_ptr<void>;
-  using NMap = txn::BatchingMap<std::uint64_t, Val,
-                                ftree::NoAug<std::uint64_t, Val>,
-                                vm::PswfVersionManager>;
   constexpr std::uint64_t kRounds = 32;
   // Round r overwrites kHold + r, whose FreeBlocker parks the flattener
   // inside that one-key commit's inline free while the whole batch is
@@ -783,8 +779,8 @@ double p99_sync_commit_us(std::uint64_t keys) {
   }
   // Built from the moved vector and written only with empty values, so
   // the tree holds the last reference to every payload.
-  NMap map(1, NMap::Map::from_entries(std::move(base)),
-           /*buffer_capacity=*/2 * keys);
+  ValMap map(1, ValMap::Map::from_entries(std::move(base)),
+             /*buffer_capacity=*/2 * keys);
   obs::LatencyHistogram lat;
   for (std::uint64_t r = 0; r < kRounds; ++r) {
     // The lane holds one batch at a time and a commit behind a busy lane
