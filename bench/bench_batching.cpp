@@ -4,7 +4,7 @@
 // throughput/latency trade the paper calls out ("a larger batch size leads
 // to higher throughput ... at the cost of longer latency").
 //
-// Each cell is a bench::SteadyState run: producers start, the system warms
+// Each cell is a bench::steady_state run: producers start, the system warms
 // for MVCC_WARMUP_SECONDS (rings filled, flattener batching at its
 // equilibrium size, allocator warm), then the MVCC_SECONDS window is
 // measured. Latency probes record into the cell's registry histogram only
@@ -52,7 +52,6 @@ void run(std::size_t max_batch, int producers, double warmup,
          double seconds) {
   const std::string name = "mb" + std::to_string(max_batch);
   auto& latency = obs::registry().histogram(name + "/commit_ns");
-  bench::SteadyState cell(name);
   BMap map(producers, {}, /*buffer_capacity=*/1 << 14, max_batch);
   // Latency probes are synchronous updates, and a sync producer parks until
   // its commit. Probing on a fixed fine cadence would cap batch formation
@@ -61,7 +60,7 @@ void run(std::size_t max_batch, int producers, double warmup,
   // capped to keep samples flowing at smoke scale).
   const std::uint64_t sync_cadence = std::clamp<std::uint64_t>(
       4 * static_cast<std::uint64_t>(max_batch), 1024, 8192);
-  const bench::Window w = cell.run(
+  const bench::Window w = bench::steady_state(
       producers, warmup, seconds,
       [&](int p) {
         return [&, p, rng = Xoshiro256(static_cast<std::uint64_t>(p) + 17)](
@@ -95,9 +94,8 @@ void run_sharded(int nshards, int producers, double warmup, double seconds) {
   constexpr std::uint64_t kMultiCadence = 4096;
   const std::string name = "shardscale/s" + std::to_string(nshards);
   auto& latency = obs::registry().histogram(name + "/multi_commit_ns");
-  bench::SteadyState cell(name);
   SMap map(producers, {}, nshards);
-  const bench::Window w = cell.run(
+  const bench::Window w = bench::steady_state(
       producers, warmup, seconds,
       [&](int p) {
         return [&, p, rng = Xoshiro256(static_cast<std::uint64_t>(p) + 31)](

@@ -130,19 +130,15 @@ BENCHMARK(BM_PlmCollectSharedPrefix)->Arg(100)->Arg(10000);
 BENCHMARK(BM_TreeCollectWholeTree)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TreeCollectOneVersionOfMany)->Arg(1000)->Arg(100000);
 
-// Hand-rolled BENCHMARK_MAIN so the hardware counters bracket exactly the
-// benchmark runs, not static init/teardown, and the observability session
-// (footprint sampler, trace dump, registry JSON) also covers the self-check,
-// keeping its JSON block last on stdout.
+// Hand-rolled BENCHMARK_MAIN so the observability session (footprint
+// sampler, trace dump, registry JSON) also covers the self-check, keeping
+// its JSON block last on stdout.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   {
     mvcc::bench::ObsSession obs_session("collect");
-    {
-      mvcc::obs::PerfCell perf("");
-      benchmark::RunSpecifiedBenchmarks();
-    }
+    benchmark::RunSpecifiedBenchmarks();
     print_selfcheck();
   }
   benchmark::Shutdown();

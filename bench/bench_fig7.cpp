@@ -13,7 +13,7 @@
 // worker count. Expected shape: "ours" at or above the best baseline on all
 // three mixes (the paper reports +20%-300%).
 //
-// Every cell is a bench::SteadyState run: workers start, the structure
+// Every cell is a bench::steady_state run: workers start, the structure
 // warms for MVCC_WARMUP_SECONDS, then the MVCC_SECONDS window is measured.
 // Every 64th op inside the window is latency-sampled into the cell's
 // registry histograms, reported as a second table of p50/p99/p999 read and
@@ -73,8 +73,7 @@ void run_cell(Adapter& ad, const YcsbSpec& spec, const ZipfGenerator& zipf,
   auto& reg = obs::registry();
   auto& read_ns = reg.histogram(name + "/read_ns");
   auto& upd_ns = reg.histogram(name + "/" + update_metric);
-  bench::SteadyState cell(name);
-  const bench::Window w = cell.run(
+  const bench::Window w = bench::steady_state(
       cfg.threads, cfg.warmup, cfg.seconds,
       [&](int t) {
         return [&, t, stream = YcsbStream(spec, zipf,
@@ -179,6 +178,14 @@ void run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
 // update column is COMMITTED ops (the flattener ceiling sharding lifts),
 // not submits; expected shape on a multi-core host is upd_ops_per_s rising
 // monotonically with the shard count. Recorded as shardscale/s<N>/*.
+//
+// These cells measure for at least kShardedSeconds whatever MVCC_SECONDS
+// says. Each shard commits a ring-load of 16384 ops at a time, so a 0.05 s
+// cell holds only 10-12 commits per shard: too few to rank 1/2/4 shards,
+// and the rows came out non-monotone in 5 of 5 smoke runs on a 4-vCPU VM,
+// against 0 of 10 with 0.5 s cells.
+constexpr double kShardedSeconds = 0.5;
+
 void run_sharded(int nshards, const CellConfig& cfg) {
   using SMap =
       txn::ShardedMap<std::uint64_t, std::uint64_t,
@@ -192,10 +199,9 @@ void run_sharded(int nshards, const CellConfig& cfg) {
   for (int t = 0; t < cfg.threads; ++t) {
     streams.push_back(part.stream(t, std::size_t{1} << 15));
   }
-  bench::SteadyState cell(name);
   SMap map(cfg.threads, workload::ycsb_dataset(cfg.keys), nshards);
-  const bench::Window w = cell.run(
-      cfg.threads, cfg.warmup, cfg.seconds,
+  const bench::Window w = bench::steady_state(
+      cfg.threads, cfg.warmup, std::max(cfg.seconds, kShardedSeconds),
       [&](int t) {
         return [&map, t, &stream = streams[static_cast<std::size_t>(t)]](
                    std::uint64_t i, bool) -> std::uint64_t {
@@ -324,7 +330,7 @@ int main() {
   std::printf("(keys=%llu producers=%d warmup=%.2fs measure=%.2fs per row; "
               "snapshot every 8192nd op)\n",
               static_cast<unsigned long long>(cfg.keys), cfg.threads,
-              cfg.warmup, cfg.seconds);
+              cfg.warmup, std::max(cfg.seconds, kShardedSeconds));
   bench::Table sharded_table(
       {"shards", "mops", "upd_mops", "snapshots", "snap_retries"});
   for (int n : {1, 2, 4}) {

@@ -125,7 +125,9 @@ void BM_TreeMultiInsertThreads(benchmark::State& state) {
   // Fork-join scaling of the bulk apply: the same batch of n/4 random keys
   // into the same corpus with an explicit worker budget. The /1 rows are
   // the sequential baseline the speedup at /2, /4... is measured against
-  // (the result tree is bit-identical at every worker count).
+  // (the result tree is bit-identical at every worker count). Rates are per
+  // wall-clock second: the joining thread parks while thieves finish its
+  // forks, so its CPU time says nothing about the speedup.
   const std::int64_t n = state.range(0);
   const int threads = static_cast<int>(state.range(1));
   SumMap a = make_random(n, 21);
@@ -145,7 +147,8 @@ void BM_TreeMultiInsertThreads(benchmark::State& state) {
 
 void BM_TreeBuildSortedThreads(benchmark::State& state) {
   // Fork-join scaling of build_sorted (what multi_insert runs where its
-  // descent reaches an empty subtree).
+  // descent reaches an empty subtree), in wall-clock rates like
+  // BM_TreeMultiInsertThreads.
   const std::int64_t n = state.range(0);
   const int threads = static_cast<int>(state.range(1));
   std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
@@ -239,11 +242,13 @@ BENCHMARK(BM_TreeMultiInsertThreads)
     ->Args({1 << 18, 4})
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 2})
-    ->Args({1 << 20, 4});
+    ->Args({1 << 20, 4})
+    ->UseRealTime();
 BENCHMARK(BM_TreeBuildSortedThreads)
     ->Args({1 << 20, 1})
     ->Args({1 << 20, 2})
-    ->Args({1 << 20, 4});
+    ->Args({1 << 20, 4})
+    ->UseRealTime();
 
 BENCHMARK(BM_TreeCommitStages)
     ->Args({1 << 21, 900})

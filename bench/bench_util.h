@@ -4,7 +4,7 @@
 //   * the environment knobs every bench reads (MVCC_SECONDS,
 //     MVCC_WARMUP_SECONDS, MVCC_THREADS, MVCC_READERS), each behind one
 //     helper that applies its floor/clamp;
-//   * SteadyState, the one duration-based steady-state driver the Figure 7
+//   * steady_state, the one duration-based steady-state driver the Figure 7
 //     and Appendix F cells run through;
 //   * ObsSession, which prints the bench's obs registry as the last JSON
 //     block on stdout. Every cell records its numbers there (throughput as
@@ -128,79 +128,66 @@ struct Window {
   }
 };
 
-// One duration-based steady-state cell (ScaleStore-driver style). Construct
-// it before anything whose threads the cell's hardware counters should
-// cover, such as a map's flattener: it opens the obs::PerfCell for `label`,
-// and perf inherit only reaches threads created after the counters open.
-// The counters are reported under perf/<label>/ when the cell is destroyed.
-class SteadyState {
- public:
-  explicit SteadyState(std::string label) : perf_(std::move(label)) {}
-
-  // Spawns `threads` workers, lets them run for `warmup` seconds, then
-  // measures a `seconds`-long window and stops and joins them before
-  // returning. Worker t calls make_worker(t) once on its own thread to build
-  // its op loop body, then calls body(i, measuring) for i = 0, 1, ... until
-  // stopped; `measuring` is false during the warm-up and true in the window,
-  // and the body's return value is folded into a sink so reads stay live.
-  template <class MakeWorker>
-  Window run(int threads, double warmup, double seconds,
-             MakeWorker make_worker, std::vector<Source> sources = {}) {
-    std::atomic<bool> stop{false};
-    std::atomic<bool> measuring{false};
-    std::atomic<std::uint64_t> sink{0};
-    std::vector<PaddedCount> counts(static_cast<std::size_t>(threads));
-    std::vector<std::thread> workers;
-    // Stops and joins on every exit path, a throwing spawn included.
-    struct Joiner {
-      std::atomic<bool>& stop;
-      std::vector<std::thread>& workers;
-      ~Joiner() {
-        stop.store(true, std::memory_order_release);
-        for (auto& w : workers) w.join();
-      }
-    };
-    Window w;
-    {
-      Joiner joiner{stop, workers};
-      for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          auto body = make_worker(t);
-          auto& count = counts[static_cast<std::size_t>(t)].v;
-          std::uint64_t local = 0;
-          std::uint64_t i = 0;
-          while (!stop.load(std::memory_order_acquire)) {
-            local += body(i, measuring.load(std::memory_order_relaxed));
-            count.store(++i, std::memory_order_relaxed);
-          }
-          sink.fetch_add(local, std::memory_order_relaxed);
-        });
-      }
-      std::this_thread::sleep_for(std::chrono::duration<double>(warmup));
-      measuring.store(true, std::memory_order_relaxed);
-      obs::Delta issued([&counts] {
-        std::uint64_t s = 0;
-        for (const auto& c : counts) s += c.v.load(std::memory_order_relaxed);
-        return s;
-      });
-      std::vector<obs::Delta<Source>> deltas;
-      for (auto& src : sources) deltas.emplace_back(std::move(src));
-      Timer timer;
-      std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-      w.ops = issued.delta();
-      for (const auto& d : deltas) w.sources.push_back(d.delta());
-      w.seconds = timer.seconds();
-    }
-    return w;
-  }
-
- private:
+// One duration-based steady-state cell (ScaleStore-driver style): spawns
+// `threads` workers, lets them run for `warmup` seconds, then measures a
+// `seconds`-long window and stops and joins them before returning. Worker t
+// calls make_worker(t) once on its own thread to build its op loop body,
+// then calls body(i, measuring) for i = 0, 1, ... until stopped;
+// `measuring` is false during the warm-up and true in the window, and the
+// body's return value is folded into a sink so reads stay live.
+template <class MakeWorker>
+Window steady_state(int threads, double warmup, double seconds,
+                    MakeWorker make_worker, std::vector<Source> sources = {}) {
   struct alignas(64) PaddedCount {
     std::atomic<std::uint64_t> v{0};
   };
-
-  obs::PerfCell perf_;
-};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> measuring{false};
+  std::atomic<std::uint64_t> sink{0};
+  std::vector<PaddedCount> counts(static_cast<std::size_t>(threads));
+  std::vector<std::thread> workers;
+  // Stops and joins on every exit path, a throwing spawn included.
+  struct Joiner {
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& workers;
+    ~Joiner() {
+      stop.store(true, std::memory_order_release);
+      for (auto& w : workers) w.join();
+    }
+  };
+  Window w;
+  {
+    Joiner joiner{stop, workers};
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        auto body = make_worker(t);
+        auto& count = counts[static_cast<std::size_t>(t)].v;
+        std::uint64_t local = 0;
+        std::uint64_t i = 0;
+        while (!stop.load(std::memory_order_acquire)) {
+          local += body(i, measuring.load(std::memory_order_relaxed));
+          count.store(++i, std::memory_order_relaxed);
+        }
+        sink.fetch_add(local, std::memory_order_relaxed);
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::duration<double>(warmup));
+    measuring.store(true, std::memory_order_relaxed);
+    obs::Delta issued([&counts] {
+      std::uint64_t s = 0;
+      for (const auto& c : counts) s += c.v.load(std::memory_order_relaxed);
+      return s;
+    });
+    std::vector<obs::Delta<Source>> deltas;
+    for (auto& src : sources) deltas.emplace_back(std::move(src));
+    Timer timer;
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+    w.ops = issued.delta();
+    for (const auto& d : deltas) w.sources.push_back(d.delta());
+    w.seconds = timer.seconds();
+  }
+  return w;
+}
 
 // Records each shard's committed ops as <cell>/shard<i>/ops gauges. Read
 // after the cell's flush_all, so the counts are this one map's whole run.

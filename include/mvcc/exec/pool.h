@@ -1,63 +1,46 @@
-// Shared work-stealing task pool: the execution substrate for the bulk
-// tree operations' fork-join parallelism (ftree/ops.h) and for
-// off-critical-path precise reclamation (alloc/reclaim.h).
-//
-// Before this layer every fork was a `std::async` thread (fine for one big
-// batch, wasteful for many small concurrent bulk ops, with the spawn-failure
-// fallback hand-rolled at every call site) and every freed set was deleted
-// inline on whoever dropped the last reference, stalling the flattener on
-// large retirements. The pool replaces both with one process-wide set of
-// workers (sized by MVCC_THREADS) and two lanes:
+// Shared work-stealing task pool: fork-join parallelism for the bulk tree
+// operations (ftree/ops.h) and off-critical-path precise reclamation
+// (alloc/reclaim.h). One process-wide set of workers (sized by
+// MVCC_THREADS) serves two lanes:
 //
 //   * FOREGROUND (fork-join): invoke2(fa, fb) forks fb as a stack-allocated
-//     task onto the caller's deque, runs fa inline, then JOINS by helping —
-//     popping its own deque (LIFO) or stealing — until fb's done flag is
-//     set. The caller is always one of the computation's workers, so a pool
-//     of W threads gives MVCC_THREADS = W+1 way parallelism, and a pool
-//     that failed to spawn any thread still completes every invoke2 (the
-//     caller self-executes), centralizing the old per-site fallbacks.
+//     task onto the caller's deque, runs fa inline, then JOINS by helping
+//     until fb's done flag is set. The caller is one of the computation's
+//     workers, so W threads give MVCC_THREADS = W+1 way parallelism, and a
+//     pool that failed to spawn any thread still completes every invoke2.
 //   * BACKGROUND (defer/quiesce): defer(fn) queues work workers run only
 //     when the foreground is empty; quiesce() helps drain and blocks until
-//     every deferred task has COMPLETED. alloc/reclaim.h publishes a large
-//     commit's exact freed set here, so the commit returns before its
-//     destructors run.
+//     every deferred task has COMPLETED. A large commit's exact freed set
+//     goes here, so the commit returns before its destructors run.
 //
-// Deque design: per-worker mutex-guarded deques — owner pushes and pops at
-// the back (LIFO, the fork-join locality order), thieves take HALF from the
-// front (FIFO, the oldest and therefore biggest subproblems), parking the
-// extras on their own deque. A lock-free Chase–Lev deque does not extend
-// soundly to steal-half (the owner's uncontended pop takes non-top elements
-// without a CAS, so a thief CASing top across k elements can claim one the
-// owner also took); a mutex makes the take-k atomic, and every task is a
-// >= bulk-grain (thousands of node visits) subproblem or a whole reclaim
-// batch, so the lock is amortized to noise. External threads (the
-// flattener, bench drivers) fork through a shared inject queue and join by
-// helping from it, so any thread may call invoke2.
+// Deques are per-worker and mutex-guarded: the owner pushes and pops at the
+// back (LIFO, the fork-join locality order); a thief takes HALF from the
+// front (the oldest, biggest subproblems) and parks the extras on its own
+// deque. Chase–Lev does not extend soundly to steal-half (the owner's
+// CAS-free pop can take an element a thief's CAS across k also claims); a
+// mutex makes the take-k atomic, and every task is thousands of node
+// visits or a whole reclaim batch, so the lock is noise. External threads
+// (the flattener, bench drivers) fork through a shared inject queue and
+// join by helping from it, so any thread may call invoke2.
 //
-// Idle workers park on a condvar with a 1ms cap: the push->notify pair
-// leaves a benign missed-wakeup window (a worker between its empty scan
-// and its wait), and the bounded wait turns that into at most 1ms of added
-// latency instead of a hang. On the default single-core CI box parking
-// matters more than stealing — spinning workers would strangle the thread
-// that has the work.
+// Waiting (exec::Parker, park.h): idle workers sleep on `work_` with no
+// timeout, so an idle pool costs no CPU; new work wakes it. Joiners and
+// quiesce help until nothing is left to steal or run, then sleep on
+// `finished_`, which a completed fork or the lane's last task wakes.
 //
 // Lifetime: Pool::instance() is a lazy singleton torn down at static
-// destruction; its constructor touches the obs registry/tracer singletons
-// first so they are destroyed after the workers are joined. Shutdown
-// drains the background lane (workers run every queued deferred task
-// before exiting; the destructor self-drains stragglers), so deferred
-// reclamation can never leak at process exit. invoke2 must not be in
-// flight across ~Pool (joiners self-execute, so this only requires not
-// destroying the pool mid-computation).
+// destruction before the obs singletons, which its constructor touches.
+// Workers run every queued deferred task before exiting and ~Pool
+// self-drains stragglers, so deferred reclamation never leaks at exit.
+// invoke2 must not be in flight across ~Pool.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -67,6 +50,7 @@
 #include <vector>
 
 #include "mvcc/common/env.h"
+#include "mvcc/exec/park.h"
 #include "mvcc/obs/obs.h"
 
 namespace mvcc::exec {
@@ -133,13 +117,7 @@ class Pool {
 
   ~Pool() {
     stop_.store(true, std::memory_order_release);
-    {
-      // Empty critical section: a worker between its stop check and its
-      // wait holds idle_mu_, so locking here orders the notify after it
-      // has actually begun waiting.
-      std::lock_guard<std::mutex> lock(idle_mu_);
-    }
-    idle_cv_.notify_all();
+    work_.wake();
     for (std::thread& t : threads_) t.join();
     // Workers drained the lanes before exiting; self-drain anything
     // deferred in the teardown window.
@@ -197,19 +175,20 @@ class Pool {
     bg_pending_.fetch_add(1, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lock(bg_mu_);
-      bg_.push_back(std::make_unique<BgTaskImpl<std::decay_t<F>>>(
-          std::forward<F>(fn)));
+      bg_.emplace_back(std::forward<F>(fn));
     }
-    notify_work();
+    work_.wake();
   }
 
   // Blocks until every task deferred so far has COMPLETED (not merely been
   // dequeued), helping run them from the calling thread. Callable from any
   // thread except a deferred task itself.
   void quiesce() {
-    while (bg_pending_.load(std::memory_order_acquire) > 0) {
-      if (!run_one_deferred()) std::this_thread::yield();
-    }
+    finished_.wait([this] {
+      while (run_one_deferred()) {
+      }
+      return bg_pending_.load(std::memory_order_acquire) == 0;
+    });
   }
 
   // Deferred tasks queued or running. 0 means the background lane is dry.
@@ -218,21 +197,18 @@ class Pool {
   }
 
  private:
+  // A fork, on its joiner's stack, so never deleted through the base.
   struct Task {
     virtual void execute() = 0;
-
-   protected:
-    ~Task() = default;  // never deleted through the base; forks live on
-                        // their joiner's stack
-  };
-
-  struct ForkTaskBase : Task {
     std::exception_ptr error;
     std::atomic<bool> done{false};
+
+   protected:
+    ~Task() = default;
   };
 
   template <class FB, class RB>
-  struct ForkTaskImpl final : ForkTaskBase {
+  struct ForkTaskImpl final : Task {
     explicit ForkTaskImpl(FB f) : fn(std::move(f)) {}
     FB fn;
     std::optional<RB> result;
@@ -246,18 +222,6 @@ class Pool {
     }
   };
 
-  struct BgTask {
-    virtual void run() = 0;
-    virtual ~BgTask() = default;
-  };
-
-  template <class F>
-  struct BgTaskImpl final : BgTask {
-    explicit BgTaskImpl(F f) : fn(std::move(f)) {}
-    F fn;
-    void run() override { fn(); }
-  };
-
   struct Deque {
     std::mutex mu;
     std::deque<Task*> q;
@@ -267,28 +231,43 @@ class Pool {
     detail::tl_pool = this;
     detail::tl_id = id;
     for (;;) {
-      Task* t = pop_back(*deques_[static_cast<std::size_t>(id)]);
-      if (t == nullptr) t = try_steal(id);
-      if (t != nullptr) {
-        run_task(t);
-        continue;
-      }
-      if (run_one_deferred()) continue;
-      // Both lanes empty this scan; on stop that is the exit condition
-      // (any fork still queued belongs to a joiner that self-executes).
-      if (stop_.load(std::memory_order_acquire)) return;
-      idle_wait();
+      bool ran = false;
+      work_.wait([&] {
+        ran = run_one(id);
+        return ran || stop_.load(std::memory_order_acquire);
+      });
+      // Both lanes empty on stop is the exit condition (any fork still
+      // queued belongs to a joiner that self-executes).
+      if (!ran) return;
     }
+  }
+
+  // Runs one task: a fork if next_fork finds one, else a deferred one.
+  // False when both lanes were empty.
+  bool run_one(int id) {
+    Task* t = next_fork(id);
+    if (t == nullptr) return run_one_deferred();
+    run_task(t);
+    return true;
+  }
+
+  // The newest fork on worker id's own deque (the inject queue for an
+  // external thread, id -1: most likely its own fork), else a stolen one.
+  Task* next_fork(int id) {
+    Task* t = pop_back(id >= 0 ? *deques_[static_cast<std::size_t>(id)]
+                               : inject_);
+    return t != nullptr ? t : try_steal(id);
   }
 
   void run_task(Task* t) {
     t->execute();
     // `t` may be a stack frame its joiner is already destroying — done.
+    finished_.wake();
     if (obs::enabled()) exec_tasks().add();
   }
 
   bool run_one_deferred() {
-    std::unique_ptr<BgTask> t;
+    std::function<void()> t;
     {
       std::lock_guard<std::mutex> lock(bg_mu_);
       if (bg_.empty()) return false;
@@ -296,12 +275,14 @@ class Pool {
       bg_.pop_front();
     }
     try {
-      t->run();
+      t();
     } catch (...) {
       // Deferred tasks are fire-and-forget; nothing to rethrow into.
     }
     if (obs::enabled()) exec_tasks().add();
-    bg_pending_.fetch_sub(1, std::memory_order_release);
+    if (bg_pending_.fetch_sub(1, std::memory_order_release) == 1) {
+      finished_.wake();
+    }
     return true;
   }
 
@@ -314,27 +295,23 @@ class Pool {
       std::lock_guard<std::mutex> lock(inject_.mu);
       inject_.q.push_back(t);
     }
-    notify_work();
+    work_.wake();
   }
 
-  // Joins a fork by helping: run own-deque tasks (LIFO — our fork or an
-  // ancestor's, both useful) or steal until the fork's done flag is set.
-  // External joiners help from the inject queue's back (most likely their
-  // own fork) and steal singles.
-  void join_fork(ForkTaskBase& fork) {
-    const bool worker_here = detail::tl_pool == this;
-    const int id = worker_here ? detail::tl_id : -1;
-    while (!fork.done.load(std::memory_order_acquire)) {
-      Task* t = worker_here
-                    ? pop_back(*deques_[static_cast<std::size_t>(id)])
-                    : pop_back(inject_);
-      if (t == nullptr) t = try_steal(id);
-      if (t != nullptr) {
+  // Joins a fork by helping: runs own-deque tasks (LIFO — our fork or an
+  // ancestor's, both useful) or stolen ones until the fork's done flag is
+  // set, and parks once there is nothing left to run while a thief
+  // finishes it.
+  void join_fork(Task& fork) {
+    const int id = detail::tl_pool == this ? detail::tl_id : -1;
+    finished_.wait([&] {
+      while (!fork.done.load(std::memory_order_acquire)) {
+        Task* t = next_fork(id);
+        if (t == nullptr) return false;
         run_task(t);
-        continue;
       }
-      std::this_thread::yield();
-    }
+      return true;
+    });
   }
 
   static Task* pop_back(Deque& d) {
@@ -375,7 +352,7 @@ class Pool {
         std::lock_guard<std::mutex> lock(own.mu);
         for (Task* t : extra) own.q.push_back(t);
       }
-      notify_work();
+      work_.wake();
     }
     if (first != nullptr && obs::enabled()) {
       exec_steals().add(1 + static_cast<std::uint64_t>(extra.size()));
@@ -383,48 +360,30 @@ class Pool {
     return first;
   }
 
-  void idle_wait() {
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (stop_.load(std::memory_order_acquire)) return;
-    sleepers_.fetch_add(1, std::memory_order_relaxed);
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  void notify_work() {
-    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
-    {
-      std::lock_guard<std::mutex> lock(idle_mu_);
-    }
-    idle_cv_.notify_all();
-  }
-
   std::vector<std::unique_ptr<Deque>> deques_;
   Deque inject_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
   std::atomic<unsigned> steal_cursor_{0};
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<int> sleepers_{0};
+  // Idle workers sleep on work_; joiners and quiesce on finished_ (see the
+  // header), so a finished fork does not rouse the idle workers.
+  Parker work_;
+  Parker finished_;
   std::mutex bg_mu_;
-  std::deque<std::unique_ptr<BgTask>> bg_;
+  std::deque<std::function<void()>> bg_;
   std::atomic<std::int64_t> bg_pending_{0};
 };
 
 namespace detail {
-inline std::atomic<Pool*>& global_slot() {
-  static std::atomic<Pool*> slot{nullptr};
-  return slot;
-}
+inline std::atomic<Pool*> g_pool{nullptr};
 
 // Wraps the singleton so the published pointer is set after construction
 // completes and cleared before destruction begins — instance_if_created()
 // never observes a half-built or dying pool.
 struct GlobalPool {
   Pool pool{Pool::default_workers()};
-  GlobalPool() { global_slot().store(&pool, std::memory_order_release); }
-  ~GlobalPool() { global_slot().store(nullptr, std::memory_order_release); }
+  GlobalPool() { g_pool.store(&pool, std::memory_order_release); }
+  ~GlobalPool() { g_pool.store(nullptr, std::memory_order_release); }
 };
 }  // namespace detail
 
@@ -434,7 +393,7 @@ inline Pool& Pool::instance() {
 }
 
 inline Pool* Pool::instance_if_created() {
-  return detail::global_slot().load(std::memory_order_acquire);
+  return detail::g_pool.load(std::memory_order_acquire);
 }
 
 // Fork-join on the process-wide pool: {fa(), fb()} with fb potentially on
@@ -442,12 +401,6 @@ inline Pool* Pool::instance_if_created() {
 template <class FA, class FB>
 auto invoke2(FA&& fa, FB&& fb) {
   return Pool::instance().invoke2(std::forward<FA>(fa), std::forward<FB>(fb));
-}
-
-// Queues fn on the process-wide pool's background lane.
-template <class F>
-void defer(F&& fn) {
-  Pool::instance().defer(std::forward<F>(fn));
 }
 
 // Drains the process-wide pool's background lane if the pool exists;

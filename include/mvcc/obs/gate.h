@@ -1,15 +1,14 @@
-// The one on/off switch of the obs/ layer, shared by obs.h (metrics),
-// trace.h (event tracer) and perf.h (hardware counters).
+// The one on/off switch of the obs/ layer, shared by obs.h (metrics) and
+// trace.h (event tracer).
 //
 // detail::gate_env() reads MVCC_STATS and MVCC_TRACE once per process into
 // one word of bits: kStats when MVCC_STATS is a non-zero integer (metrics,
-// probes, sampler, the benches' per-cell hardware counters), plus kTrace
-// when MVCC_TRACE also names an output file (the event tracer). Unset means
-// off. enabled() and trace_on() are one relaxed load of a constant-
-// initialized atomic and one bit test, so a disabled instrumentation site
-// costs a predicted-untaken branch. set_enabled() and set_trace_enabled()
-// flip one bit each, for tests that must turn collection on without
-// re-exec'ing under a new environment.
+// probes, sampler), plus kTrace when MVCC_TRACE also names an output file
+// (the event tracer). Unset means off. enabled() and trace_on() are one
+// relaxed load of a constant-initialized atomic and one bit test, so a
+// disabled instrumentation site costs a predicted-untaken branch.
+// set_enabled() and set_trace_enabled() flip one bit each, for tests that
+// must turn collection on without re-exec'ing under a new environment.
 #pragma once
 
 #include <atomic>

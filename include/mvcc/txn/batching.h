@@ -21,13 +21,11 @@
 //     submits and reads on its own index.
 //   * vm.set is called only by the flattener, satisfying the external
 //     single-writer serialization the VM contract (vm/base.h) requires.
-//   * Version payloads (Map objects) are owned here and created through
-//     the alloc/ pool, and every pointer a VM operation proves unreachable
-//     goes back to it through alloc::destroy. Reader releases free inline; a
-//     commit that copied enough nodes hands its retired versions to the
-//     exec/ pool's background lane (alloc::reclaim_retired), so it does
-//     not stall on the destructor cost of a large retirement. The
-//     destructor quiesces that lane and drains the manager, so
+//   * Version payloads (Map objects) come from the alloc/ pool, and every
+//     pointer a VM operation proves unreachable goes back through
+//     alloc::destroy: inline for reader releases, via
+//     alloc::reclaim_retired (which may defer a large retirement) for
+//     commits. The destructor quiesces that lane and drains the manager, so
 //     ftree::live_nodes() returns to its baseline once the map and its
 //     snapshots are gone.
 //
@@ -40,12 +38,12 @@
 // batch being filled or the one after it, so its commit is at most about
 // two batch publications away.
 //
-// Waiting: every wait on a producer's committed cursor (upsert_sync and
-// wait_committed, submit's admission control, flush_all) yields for
-// kSpinWindowNs, which covers a small commit, and then sleeps in
-// std::atomic::wait on that cursor; the flattener calls notify_all after
-// each cursor it advances. So a short commit is never charged a futex round
-// trip, and a long one leaves the producers' CPUs to the flattener.
+// Waiting (exec::Parker, exec/park.h): a wait on a producer's committed
+// cursor (upsert_sync, wait_committed, admission control, flush_all) spins
+// and then sleeps on its ring's wake word, which commit() wakes after
+// advancing that cursor. A flattener with nothing to drain polls for
+// kIdleWindowNs, then sleeps until a submit wakes it: an idle map costs
+// no CPU.
 #pragma once
 
 #include <algorithm>
@@ -64,6 +62,7 @@
 #include "mvcc/alloc/pool.h"
 #include "mvcc/alloc/reclaim.h"
 #include "mvcc/common/timing.h"
+#include "mvcc/exec/park.h"
 #include "mvcc/ftree/fmap.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/obs/obs.h"
@@ -71,9 +70,8 @@
 
 namespace mvcc::txn {
 
-// Registry handles for the batching front-end, looked up once and shared
-// by every BatchingMap instantiation (the telemetry is a process-wide
-// aggregate, like ftree::live_nodes). Touched only under obs::enabled().
+// Registry handles of the batching front-end, shared by every BatchingMap
+// (process-wide aggregates). Touched only under obs::enabled().
 //
 //   txn/batch_size            ops folded into each published version
 //   txn/commit_latency_ns     upsert_sync submit-to-visible latency
@@ -128,8 +126,7 @@ inline std::atomic<std::int64_t> g_queue_depth{0};
 
 // Registers the submit-queue and reclaim-lane depth probes with the obs
 // sampler. Idempotent; called by every BatchingMap constructor and by the
-// bench glue (the latter so the columns exist even when the sampler starts
-// before the first map is built).
+// bench glue, so the columns exist before the first map is built.
 inline void register_txn_probes() {
   obs::Sampler::instance().register_probe("txn/queue_depth", [] {
     return g_queue_depth.load(std::memory_order_relaxed);
@@ -214,14 +211,14 @@ class BatchingMap {
   // before this returns), then frees every version the manager tracks.
   ~BatchingMap() {
     stop_.store(true, std::memory_order_release);
+    flattener_wake_.wake();
     flattener_.join();
     alloc::reclaim_quiesce();
     for (Map* dead : vm_.shutdown_drain()) alloc::destroy(dead);
   }
 
   // Asynchronous update: enqueues and returns. Blocks only for admission
-  // control (the op is at most ~2 batch publications from commit then),
-  // spinning and then sleeping until a commit frees a slot (see the header).
+  // control (the op is at most ~2 batch publications from commit then).
   void submit(int p, BatchOp op, const K& k, const V& v) {
     assert(p >= 0 && p < producers_);
     Ring& r = *rings_[static_cast<std::size_t>(p)];
@@ -242,7 +239,11 @@ class BatchingMap {
     // going transiently negative when the flattener drains and decrements
     // between the publish and a late increment.
     if (obs::enabled()) g_queue_depth.fetch_add(1, std::memory_order_relaxed);
-    r.pushed.store(t + 1, std::memory_order_release);
+    // seq_cst store, then seq_cst load: park()'s handshake.
+    r.pushed.store(t + 1, std::memory_order_seq_cst);
+    if (flattener_parked_.load(std::memory_order_seq_cst)) {
+      flattener_wake_.wake();
+    }
   }
 
   // Synchronous update: stamps a ticket at submission and waits until the
@@ -250,16 +251,14 @@ class BatchingMap {
   // visible to every subsequent get/read_txn. The parked ticket is visible
   // to the flattener, which commits a partial batch as soon as every ring
   // has run dry with a sync waiter already drained — a producer blocked
-  // here never waits on a batch that cannot fill. The wait is
-  // wait_committed's: a spin, then a sleep the commit wakes.
+  // here never waits on a batch that cannot fill.
   void upsert_sync(int p, const K& k, const V& v) {
-    if (!obs::enabled()) {
-      upsert_sync_impl(p, k, v);
-      return;
-    }
     Timer t;
-    upsert_sync_impl(p, k, v);
-    BatchingStats::get().commit_latency_ns.record(t.nanos());
+    submit(p, BatchOp::kUpsert, k, v);
+    wait_committed(p, submitted_ticket(p));
+    if (obs::enabled()) {
+      BatchingStats::get().commit_latency_ns.record(t.nanos());
+    }
   }
 
   // Point read against the current version via VM slot p.
@@ -294,10 +293,7 @@ class BatchingMap {
   // Parks until producer p's ops up to `ticket` are committed, with the
   // parked ticket visible to the flattener's stall detection (a partial
   // batch commits as soon as the rings run dry with this waiter drained).
-  // The ticket is published before the wait starts, so it is visible while
-  // the waiter spins and while it sleeps; the commit that reaches it wakes
-  // it. Same serialization contract as submit: one thread per producer
-  // index.
+  // Same serialization contract as submit: one thread per producer index.
   void wait_committed(int p, std::uint64_t ticket) {
     assert(p >= 0 && p < producers_);
     Ring& r = *rings_[static_cast<std::size_t>(p)];
@@ -310,19 +306,15 @@ class BatchingMap {
   // Drains: waits until every op submitted before this call is committed.
   // While any flush is waiting the flattener commits eagerly instead of
   // filling batches, so the wait is bounded by the backlog, not the bound.
-  // Each ring's wait spins and then sleeps until a commit wakes it; any
-  // number of threads may flush at once.
+  // Any number of threads may flush at once.
   void flush_all() {
-    std::vector<std::uint64_t> target(static_cast<std::size_t>(producers_));
-    for (int p = 0; p < producers_; ++p) {
-      target[static_cast<std::size_t>(p)] =
-          rings_[static_cast<std::size_t>(p)]->pushed.load(
-              std::memory_order_acquire);
+    std::vector<std::uint64_t> target;
+    for (const auto& r : rings_) {
+      target.push_back(r->pushed.load(std::memory_order_acquire));
     }
     flush_waiters_.fetch_add(1, std::memory_order_acq_rel);
-    for (int p = 0; p < producers_; ++p) {
-      await_committed(*rings_[static_cast<std::size_t>(p)],
-                      target[static_cast<std::size_t>(p)]);
+    for (std::size_t p = 0; p < rings_.size(); ++p) {
+      await_committed(*rings_[p], target[p]);
     }
     flush_waiters_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -335,8 +327,6 @@ class BatchingMap {
   std::uint64_t batches_committed() const {
     return batches_committed_.load(std::memory_order_relaxed);
   }
-
-  int producers() const { return producers_; }
 
  private:
   struct Slot {
@@ -356,6 +346,7 @@ class BatchingMap {
     alignas(64) std::atomic<std::uint64_t> pushed{0};
     alignas(64) std::atomic<std::uint64_t> popped{0};
     alignas(64) std::atomic<std::uint64_t> committed{0};
+    exec::Parker committed_wake;  // woken after each `committed` store
     // Ticket (pushed cursor value, so never 0) of a producer parked in
     // upsert_sync; 0 when none. Written by the producer, read by the
     // flattener's stall detection.
@@ -368,37 +359,40 @@ class BatchingMap {
   // upsert_sync at once — and is never hit under load.
   static constexpr int kIdlePatience = 64;
 
-  // How long a wait on a committed cursor yields before it sleeps. It
-  // covers a small commit, so only waits that would outlast one pay the
-  // futex round trip (28-36 us at p50 on a 4-vCPU x86-64 VM). A 200 us
-  // window measured no faster on the repository benchmark and left the
-  // waiters more CPU to contend with the flattener for.
-  static constexpr std::uint64_t kSpinWindowNs = 50'000;
+  // How long a flattener with nothing to drain polls before it sleeps:
+  // above the repository benchmark's 4 ms writer tick. At 1 ms every burst
+  // paid a wake-up: snapshot-read commit_p50_us +28%, p90 +44% (10 pairs).
+  static constexpr std::uint64_t kIdleWindowNs = 8'000'000;
 
   int writer_pid() const { return producers_; }
 
-  void upsert_sync_impl(int p, const K& k, const V& v) {
-    submit(p, BatchOp::kUpsert, k, v);
-    wait_committed(p, submitted_ticket(p));
+  // The one wait on a committed cursor: returns once r.committed reaches
+  // `target`.
+  void await_committed(Ring& r, std::uint64_t target) {
+    const bool slept = r.committed_wake.wait([&] {
+      return r.committed.load(std::memory_order_acquire) >= target;
+    });
+    if (slept && obs::enabled()) BatchingStats::get().waiter_sleeps.add();
   }
 
-  // The one wait on a committed cursor: returns once r.committed reaches
-  // `target`. Yields for kSpinWindowNs, then sleeps on the cursor until
-  // commit()'s notify_all; a cursor stored before the wait starts is seen
-  // by the wait, so no wake is lost.
-  void await_committed(Ring& r, std::uint64_t target) {
-    if (r.committed.load(std::memory_order_acquire) >= target) return;
-    Timer spin;
-    do {
-      std::this_thread::yield();
-      if (r.committed.load(std::memory_order_acquire) >= target) return;
-    } while (spin.nanos() < kSpinWindowNs);
-    if (obs::enabled()) BatchingStats::get().waiter_sleeps.add();
-    for (;;) {
-      const std::uint64_t seen = r.committed.load(std::memory_order_acquire);
-      if (seen >= target) return;
-      r.committed.wait(seen, std::memory_order_acquire);
-    }
+  // Waits, holding no ops, until a producer pushes or the map stops. The
+  // flag is set before the rescans, and submit stores `pushed` before it
+  // reads the flag (all seq_cst), so a rescan sees the op or submit wakes.
+  void park() {
+    flattener_parked_.store(true, std::memory_order_seq_cst);
+    flattener_wake_.wait(
+        [this] {
+          if (stop_.load(std::memory_order_acquire)) return true;
+          for (const auto& r : rings_) {
+            if (r->pushed.load(std::memory_order_seq_cst) !=
+                r->popped.load(std::memory_order_relaxed)) {
+              return true;
+            }
+          }
+          return false;
+        },
+        kIdleWindowNs);
+    flattener_parked_.store(false, std::memory_order_relaxed);
   }
 
   void flatten_loop() {
@@ -478,8 +472,13 @@ class BatchingMap {
       }
       if (!drained) {
         if (stopping && raw_ops == 0) break;
+        if (raw_ops == 0) {
+          park();
+          continue;
+        }
+        // No producer wakes a flattener that holds ops, so it never sleeps.
         ++idle_polls;
-        std::this_thread::yield();
+        exec::Parker::pause();
       } else {
         idle_polls = 0;
       }
@@ -487,12 +486,9 @@ class BatchingMap {
   }
 
   bool parked_waiter_drained() const {
-    for (int p = 0; p < producers_; ++p) {
-      const Ring& r = *rings_[static_cast<std::size_t>(p)];
-      const std::uint64_t t = r.sync_waiting.load(std::memory_order_acquire);
-      if (t != 0 && r.popped.load(std::memory_order_relaxed) >= t) {
-        return true;
-      }
+    for (const auto& r : rings_) {
+      const std::uint64_t t = r->sync_waiting.load(std::memory_order_acquire);
+      if (t != 0 && r->popped.load(std::memory_order_relaxed) >= t) return true;
     }
     return false;
   }
@@ -534,7 +530,7 @@ class BatchingMap {
       Ring& r = *rings_[static_cast<std::size_t>(p)];
       r.committed.store(r.committed.load(std::memory_order_relaxed) + n,
                         std::memory_order_release);
-      r.committed.notify_all();
+      r.committed_wake.wake();
     }
     if (stats != nullptr) stats->stage_reclaim_ns.record(laps.lap());
   }
@@ -550,6 +546,9 @@ class BatchingMap {
   std::atomic<std::uint64_t> ops_committed_{0};
   std::atomic<std::uint64_t> batches_committed_{0};
   std::thread flattener_;
+  // park()'s flag and word; every submit reads this line.
+  alignas(64) std::atomic<bool> flattener_parked_{false};
+  exec::Parker flattener_wake_;
 };
 
 }  // namespace mvcc::txn

@@ -1,16 +1,12 @@
-// Sharded multi-writer scale-out over the batching front-end — the
-// ROADMAP's "millions of users" lever. One BatchingMap funnels every write
-// through a single flattener, which is the measured write ceiling of the
-// stack; ShardedMap partitions the key space across N independent
-// BatchingMap shards (splitmix64-mixed key -> shard), each with its own
-// flattener thread, vm/ version manager, rings, and alloc/obs accounting,
-// so update throughput scales with shards until the memory system, not the
-// flattener, is the limit.
+// Sharded multi-writer scale-out over the batching front-end. One
+// BatchingMap funnels every write through a single flattener, the measured
+// write ceiling of the stack; ShardedMap partitions the key space across N
+// independent BatchingMap shards, each with its own flattener, vm/ version
+// manager, rings and alloc/obs accounting, so update throughput scales
+// with shards until the memory system is the limit.
 //
-// Shard routing: shard_of(k) = Lemire-reduce(splitmix64_mix(k), N). The
-// mix makes the partition independent of any key-space structure (YCSB's
-// dense [0, n) keys spread uniformly), and the reduction avoids requiring
-// a power-of-two shard count.
+// Shard routing: shard_of(k) = Lemire-reduce(splitmix64_mix(k), N), so
+// YCSB's dense [0, n) keys spread uniformly over any shard count.
 //
 // Cross-shard consistency protocol (the part a bag of independent maps
 // lacks):
@@ -21,7 +17,7 @@
 //     observes a torn multi_upsert_sync. Consistency comes from a seqlock
 //     epoch: every multi-shard commit holds the epoch odd from before its
 //     first submit until after every involved shard's sync ticket has
-//     committed; the snapshot's validate-retry pass reads a stable (even)
+//     committed; the snapshot's validate-retry pass waits for an even
 //     epoch, pins all shards, and re-reads — a changed epoch means a
 //     multi-shard commit overlapped, so the pins are dropped and the pass
 //     retries (counted in sharded/snapshot_retries). After
@@ -59,11 +55,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "mvcc/common/rng.h"
+#include "mvcc/exec/park.h"
 #include "mvcc/obs/obs.h"
 #include "mvcc/txn/batching.h"
 #include "mvcc/vm/base.h"
@@ -140,15 +136,12 @@ class ShardedMap {
     }
   }
 
-  // Teardown destroys the shards in turn: each BatchingMap commits its
-  // backlog, quiesces the background reclaim lane and frees every version
-  // its manager tracks — ftree::live_nodes() returns to baseline once the
-  // map and its snapshots are gone.
+  // Teardown destroys the shards in turn, each committing its backlog and
+  // freeing every version it tracks.
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
 
   int shard_count() const { return nshards_; }
-  int producers() const { return producers_; }
 
   // Where key k lives. Static form for tests that need to construct keys
   // landing in specific shards of a hypothetical N-way map.
@@ -215,6 +208,7 @@ class ShardedMap {
     // snapshot whose stable-epoch read sees the new value therefore sees
     // every shard's published version (release/acquire on the epoch).
     epoch_.fetch_add(1, std::memory_order_seq_cst);
+    epoch_wake_.wake();
     if (obs::enabled()) {
       multi_commits_counter().add();
       multi_ops_counter().add(ops.size());
@@ -288,14 +282,15 @@ class ShardedMap {
   // full commit windows.
   static constexpr std::uint64_t kSnapshotRetryBudget = 8;
 
-  // Spins until the epoch is even (no multi-shard commit in flight) and
+  // Waits until the epoch is even (no multi-shard commit in flight) and
   // returns it — the validation token of the snapshot protocol.
   std::uint64_t stable_epoch() const {
-    for (;;) {
-      const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-      if ((e & 1) == 0) return e;
-      std::this_thread::yield();
-    }
+    std::uint64_t e = 0;
+    epoch_wake_.wait([&] {
+      e = epoch_.load(std::memory_order_seq_cst);
+      return (e & 1) == 0;
+    });
+    return e;
   }
 
   static obs::Counter& snapshots_counter() {
@@ -318,6 +313,8 @@ class ShardedMap {
   // Seqlock epoch of the cross-shard protocol: even = quiescent, odd = a
   // multi-shard commit is between its first submit and last ticket.
   std::atomic<std::uint64_t> epoch_{0};
+  // Snapshots waiting for an even epoch sleep here; the even flip wakes it.
+  exec::Parker epoch_wake_;
   // Serializes multi-shard commits (and the snapshot fallback) against
   // each other; never touched by single-shard traffic.
   std::mutex multi_mu_;

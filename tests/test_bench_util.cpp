@@ -63,8 +63,7 @@ struct Body {
 };
 
 bench::Window run_probe(Probe& probe, std::vector<bench::Source> sources = {}) {
-  bench::SteadyState cell("bench_driver_test");
-  return cell.run(
+  return bench::steady_state(
       kThreads, kWarmup, kSeconds, [&probe](int) { return Body(&probe); },
       std::move(sources));
 }

@@ -1,5 +1,6 @@
 // exec/pool.h: fork-join correctness (nested forks, stealing, exceptions),
-// the background defer/quiesce lane, and clean shutdown with queued work.
+// the background defer/quiesce lane, parked workers waking for new work,
+// and clean shutdown with queued work.
 // The fork-join ftree integration (bit-identical parallel bulk ops) is
 // covered by test_ftree; this file exercises the pool itself.
 #include <atomic>
@@ -167,6 +168,40 @@ TEST(Exec, ShutdownDrainsQueuedDeferredTasks) {
     // No quiesce: ~Pool itself must drain the backed-up lane.
   }
   EXPECT_EQ(ran.load(), 50);
+}
+
+// A worker that has outlasted the spin window sleeps with no timeout, so a
+// defer that fails to wake it leaves the task queued forever. Each round
+// lets the one worker park, defers a task, and waits for it from a thread
+// that runs no tasks itself. The park delay sweeps one to three spin
+// windows, so some defers land as the worker goes from spinning to
+// sleeping. A lost wake-up fails the run at a deadline (the pool and its
+// task are leaked, not joined) instead of hanging the suite.
+TEST(Exec, ParkedWorkersWakeForDeferredWork) {
+  constexpr int kRounds = 1000;
+  constexpr auto kDeadline = std::chrono::seconds(10);
+  constexpr std::uint64_t kWindowUs = exec::Parker::kSpinWindowNs / 1000;
+  struct Run {
+    exec::Pool pool{1};
+    std::atomic<bool> ran{false};
+  };
+  auto* run = new Run;
+  for (int i = 0; i < kRounds; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        kWindowUs + static_cast<std::uint64_t>(i) % (2 * kWindowUs)));
+    run->ran.store(false, std::memory_order_relaxed);
+    run->pool.defer([run] { run->ran.store(true, std::memory_order_release); });
+    const auto deadline = std::chrono::steady_clock::now() + kDeadline;
+    while (!run->ran.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (!run->ran.load(std::memory_order_acquire)) {
+      FAIL() << "round " << i << ": a parked worker never ran its task";
+    }
+  }
+  run->pool.quiesce();
+  delete run;
 }
 
 TEST(Exec, NonPositiveWorkerCountClampsToOne) {

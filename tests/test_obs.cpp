@@ -464,65 +464,6 @@ TEST(ObsTrace, DisabledEmitsNothingAndDumpsValidJson) {
 }
 
 // ---------------------------------------------------------------------------
-// Hardware counters.
-
-TEST(ObsPerf, UnopenedCountersReadInvalidAndReportNothing) {
-  obs::PerfCounters pc(/*open=*/false);
-  EXPECT_FALSE(pc.available());
-  pc.start();  // all no-ops on closed fds
-  pc.stop();
-  const auto r = pc.read();
-  for (int i = 0; i < obs::PerfCounters::kEvents; ++i) {
-    EXPECT_FALSE(r.valid[i]);
-    EXPECT_EQ(r.value[i], 0u);
-  }
-  pc.report("obstest-none");
-  EXPECT_EQ(obs::registry().dump_json().find("perf/obstest-none"),
-            std::string::npos);
-}
-
-TEST(ObsPerf, OpenEitherCountsOrDegradesGracefully) {
-  // perf_event_open commonly fails in CI containers; both outcomes are
-  // in-contract. What must not happen is a crash or a valid-but-zero read.
-  obs::PerfCounters pc;
-  pc.start();
-  volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
-  pc.stop();
-  const auto r = pc.read();
-  if (pc.available()) {
-    bool any = false;
-    for (int i = 0; i < obs::PerfCounters::kEvents; ++i) any |= r.valid[i];
-    EXPECT_TRUE(any);
-  } else {
-    for (int i = 0; i < obs::PerfCounters::kEvents; ++i) {
-      EXPECT_FALSE(r.valid[i]);
-    }
-  }
-}
-
-TEST(ObsPerf, PerfCellIsNoOpWhenStatsOff) {
-  // With stats off the cell never opens counters and never reports.
-  obs::set_enabled(false);
-  { obs::PerfCell cell("obstest-cell"); }
-  EXPECT_EQ(obs::registry().dump_json().find("perf/obstest-cell"),
-            std::string::npos);
-}
-
-TEST(ObsPerf, PerfCellReportsUnderStatsIffCountersOpen) {
-  // Whether this host lets perf_event_open count is probed first; either
-  // answer is in-contract, but the cell must report exactly when it can.
-  const bool available = obs::PerfCounters().available();
-  {
-    ScopedStats stats;
-    obs::PerfCell cell("obstest-stats");
-  }
-  EXPECT_EQ(obs::registry().dump_json().find("\"perf/obstest-stats/") !=
-                std::string::npos,
-            available);
-}
-
-// ---------------------------------------------------------------------------
 // The obs gate.
 
 TEST(ObsGate, ResolvesStatsAndTraceFromTheEnvironment) {

@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "mvcc/exec/pool.h"
 #include "mvcc/ftree/ops.h"
 #include "mvcc/obs/obs.h"
 #include "mvcc/txn/sharded.h"
@@ -353,6 +356,45 @@ TEST(ShardedMetrics, RegistryExportsPerShardAndSnapshotCounters) {
           "\"sharded/multi_commits\":", "\"sharded/multi_ops\":"}) {
       EXPECT_NE(dump.find(key), std::string::npos) << "missing " << key;
     }
+  }
+  obs::set_enabled(false);
+  EXPECT_EQ(ftree::live_nodes(), base_live);
+}
+
+// ---------------------------------------------------------------------------
+// Idle cost.
+
+// CPU time every thread of the process has used, in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// Once its last commit is out and every spin window has passed, an idle
+// map's threads sleep: 4 flatteners and the pool's workers, which the one
+// large commit per shard has started and handed forks to.
+TEST(ShardedIdle, IdleMapCostsNoCpu) {
+  constexpr std::uint64_t kKeys = 1 << 15;
+  constexpr auto kMeasured = std::chrono::milliseconds(300);
+  const long long base_live = ftree::live_nodes();
+  obs::set_enabled(true);
+  const std::uint64_t tasks0 = exec::exec_tasks().value();
+  {
+    PswfSharded map(2, workload::ycsb_dataset(4 * kKeys), /*shards=*/4);
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      map.submit(static_cast<int>(k & 1), txn::BatchOp::kUpsert, k, k);
+    }
+    map.flush_all();
+    // The premise: the commits forked onto the pool.
+    EXPECT_GT(exec::exec_tasks().value(), tasks0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const double cpu0 = process_cpu_seconds();
+    std::this_thread::sleep_for(kMeasured);
+    const double busy = (process_cpu_seconds() - cpu0) /
+                        std::chrono::duration<double>(kMeasured).count();
+    EXPECT_LT(busy, 0.05) << busy << " CPU-s/s while idle";
   }
   obs::set_enabled(false);
   EXPECT_EQ(ftree::live_nodes(), base_live);
