@@ -1,10 +1,8 @@
 // The one way txn/ and exec/ block on a condition: spin, then sleep on a
-// 32-bit wake word. wake() must follow every store that can make a
-// waiter's done() true. A sleeper reads the word before it evaluates
-// done(), so either done() sees the store or the word has moved and the
-// futex does not sleep through the notify. In libstdc++ 12 a 4-byte atomic
-// waits on a futex at its own address, so a wake reaches only that word's
-// sleepers.
+// 32-bit wake word, which libstdc++ 12 waits on with a futex at the word's
+// own address, so a wake reaches only its sleepers. wake() follows every
+// store that can make a waiter's done() true, and a sleeper reads the word
+// before it evaluates done(), so no wake is lost.
 #pragma once
 
 #include <atomic>
@@ -28,7 +26,9 @@ class Parker {
   // runs a task in it). Returns whether the wait outlasted the spin.
   template <class Done>
   bool wait(Done&& done, std::uint64_t spin_ns = kSpinWindowNs) const {
-    for (Timer spin; spin.nanos() < spin_ns; pause()) {
+    if (done()) return false;  // before the clock: the common case
+    for (Timer spin; spin.nanos() < spin_ns;) {
+      pause();
       if (done()) return false;
     }
     for (;;) {
