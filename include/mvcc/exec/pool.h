@@ -1,27 +1,32 @@
-// Shared work-stealing task pool: fork-join parallelism for the bulk tree
-// operations (ftree/ops.h) and off-critical-path precise reclamation
-// (alloc/reclaim.h). One process-wide set of workers (sized by
-// MVCC_THREADS) serves two lanes:
+// Shared work-stealing task pool: the execution substrate for the bulk
+// tree operations' fork-join parallelism (ftree/ops.h) and for
+// off-critical-path precise reclamation (alloc/reclaim.h). One
+// process-wide set of workers (sized by MVCC_THREADS) serves two lanes:
 //
 //   * FOREGROUND (fork-join): invoke2(fa, fb) forks fb as a stack-allocated
-//     task onto the caller's deque, runs fa inline, then JOINS by helping
-//     until fb's done flag is set. The caller is one of the computation's
-//     workers, so W threads give MVCC_THREADS = W+1 way parallelism, and a
-//     pool that failed to spawn any thread still completes every invoke2.
+//     task onto the caller's deque, runs fa inline, then JOINS by helping —
+//     popping its own deque (LIFO) or stealing — until fb's done flag is
+//     set. The caller is always one of the computation's workers, so a pool
+//     of W threads gives MVCC_THREADS = W+1 way parallelism, and a pool
+//     that failed to spawn any thread still completes every invoke2 (the
+//     caller self-executes), centralizing the old per-site fallbacks.
 //   * BACKGROUND (defer/quiesce): defer(fn) queues work workers run only
 //     when the foreground is empty; quiesce() helps drain and blocks until
-//     every deferred task has COMPLETED. A large commit's exact freed set
-//     goes here, so the commit returns before its destructors run.
+//     every deferred task has COMPLETED. alloc/reclaim.h publishes a large
+//     commit's exact freed set here, so the commit returns before its
+//     destructors run.
 //
-// Deques are per-worker and mutex-guarded: the owner pushes and pops at the
-// back (LIFO, the fork-join locality order); a thief takes HALF from the
-// front (the oldest, biggest subproblems) and parks the extras on its own
-// deque. Chase–Lev does not extend soundly to steal-half (the owner's
-// CAS-free pop can take an element a thief's CAS across k also claims); a
-// mutex makes the take-k atomic, and every task is thousands of node
-// visits or a whole reclaim batch, so the lock is noise. External threads
-// (the flattener, bench drivers) fork through a shared inject queue and
-// join by helping from it, so any thread may call invoke2.
+// Deque design: per-worker mutex-guarded deques — owner pushes and pops at
+// the back (LIFO, the fork-join locality order), thieves take HALF from the
+// front (FIFO, the oldest and therefore biggest subproblems), parking the
+// extras on their own deque. A lock-free Chase–Lev deque does not extend
+// soundly to steal-half (the owner's uncontended pop takes non-top elements
+// without a CAS, so a thief CASing top across k elements can claim one the
+// owner also took); a mutex makes the take-k atomic, and every task is a
+// >= bulk-grain (thousands of node visits) subproblem or a whole reclaim
+// batch, so the lock is amortized to noise. External threads (the
+// flattener, bench drivers) fork through a shared inject queue and join by
+// helping from it, so any thread may call invoke2.
 //
 // Waiting (exec::Parker, park.h): idle workers sleep on `work_` with no
 // timeout, so an idle pool costs no CPU; new work wakes it. Joiners and
@@ -29,10 +34,13 @@
 // `finished_`, which a completed fork or the lane's last task wakes.
 //
 // Lifetime: Pool::instance() is a lazy singleton torn down at static
-// destruction before the obs singletons, which its constructor touches.
-// Workers run every queued deferred task before exiting and ~Pool
-// self-drains stragglers, so deferred reclamation never leaks at exit.
-// invoke2 must not be in flight across ~Pool.
+// destruction; its constructor touches the obs registry/tracer singletons
+// first so they are destroyed after the workers are joined. Shutdown
+// drains the background lane (workers run every queued deferred task
+// before exiting; the destructor self-drains stragglers), so deferred
+// reclamation can never leak at process exit. invoke2 must not be in
+// flight across ~Pool (joiners self-execute, so this only requires not
+// destroying the pool mid-computation).
 #pragma once
 
 #include <atomic>
@@ -167,9 +175,10 @@ class Pool {
   }
 
   // Background lane: fn() runs on a worker once the foreground is empty.
-  // fn must not throw (a throw is swallowed, not propagated) and must not
-  // call quiesce (a deferred task waiting on the lane it occupies can
-  // self-deadlock); deferring more work from a deferred task is fine.
+  // fn must be copyable (the lane holds std::function), must not throw (a
+  // throw is swallowed, not propagated) and must not call quiesce (a
+  // deferred task waiting on the lane it occupies can self-deadlock);
+  // deferring more work from a deferred task is fine.
   template <class F>
   void defer(F&& fn) {
     bg_pending_.fetch_add(1, std::memory_order_release);

@@ -21,11 +21,13 @@
 //     submits and reads on its own index.
 //   * vm.set is called only by the flattener, satisfying the external
 //     single-writer serialization the VM contract (vm/base.h) requires.
-//   * Version payloads (Map objects) come from the alloc/ pool, and every
-//     pointer a VM operation proves unreachable goes back through
-//     alloc::destroy: inline for reader releases, via
-//     alloc::reclaim_retired (which may defer a large retirement) for
-//     commits. The destructor quiesces that lane and drains the manager, so
+//   * Version payloads (Map objects) are owned here and created through
+//     the alloc/ pool, and every pointer a VM operation proves unreachable
+//     goes back to it through alloc::destroy. Reader releases free inline; a
+//     commit that copied enough nodes hands its retired versions to the
+//     exec/ pool's background lane (alloc::reclaim_retired), so it does
+//     not stall on the destructor cost of a large retirement. The
+//     destructor quiesces that lane and drains the manager, so
 //     ftree::live_nodes() returns to its baseline once the map and its
 //     snapshots are gone.
 //
@@ -70,8 +72,9 @@
 
 namespace mvcc::txn {
 
-// Registry handles of the batching front-end, shared by every BatchingMap
-// (process-wide aggregates). Touched only under obs::enabled().
+// Registry handles for the batching front-end, looked up once and shared
+// by every BatchingMap instantiation (the telemetry is a process-wide
+// aggregate, like ftree::live_nodes). Touched only under obs::enabled().
 //
 //   txn/batch_size            ops folded into each published version
 //   txn/commit_latency_ns     upsert_sync submit-to-visible latency
@@ -126,7 +129,8 @@ inline std::atomic<std::int64_t> g_queue_depth{0};
 
 // Registers the submit-queue and reclaim-lane depth probes with the obs
 // sampler. Idempotent; called by every BatchingMap constructor and by the
-// bench glue, so the columns exist before the first map is built.
+// bench glue (the latter so the columns exist even when the sampler starts
+// before the first map is built).
 inline void register_txn_probes() {
   obs::Sampler::instance().register_probe("txn/queue_depth", [] {
     return g_queue_depth.load(std::memory_order_relaxed);
@@ -253,12 +257,13 @@ class BatchingMap {
   // has run dry with a sync waiter already drained — a producer blocked
   // here never waits on a batch that cannot fill.
   void upsert_sync(int p, const K& k, const V& v) {
-    Timer t;
-    submit(p, BatchOp::kUpsert, k, v);
-    wait_committed(p, submitted_ticket(p));
-    if (obs::enabled()) {
-      BatchingStats::get().commit_latency_ns.record(t.nanos());
+    if (!obs::enabled()) {
+      upsert_sync_impl(p, k, v);
+      return;
     }
+    Timer t;
+    upsert_sync_impl(p, k, v);
+    BatchingStats::get().commit_latency_ns.record(t.nanos());
   }
 
   // Point read against the current version via VM slot p.
@@ -308,13 +313,16 @@ class BatchingMap {
   // filling batches, so the wait is bounded by the backlog, not the bound.
   // Any number of threads may flush at once.
   void flush_all() {
-    std::vector<std::uint64_t> target;
-    for (const auto& r : rings_) {
-      target.push_back(r->pushed.load(std::memory_order_acquire));
+    std::vector<std::uint64_t> target(static_cast<std::size_t>(producers_));
+    for (int p = 0; p < producers_; ++p) {
+      target[static_cast<std::size_t>(p)] =
+          rings_[static_cast<std::size_t>(p)]->pushed.load(
+              std::memory_order_acquire);
     }
     flush_waiters_.fetch_add(1, std::memory_order_acq_rel);
-    for (std::size_t p = 0; p < rings_.size(); ++p) {
-      await_committed(*rings_[p], target[p]);
+    for (int p = 0; p < producers_; ++p) {
+      await_committed(*rings_[static_cast<std::size_t>(p)],
+                      target[static_cast<std::size_t>(p)]);
     }
     flush_waiters_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -365,6 +373,11 @@ class BatchingMap {
   static constexpr std::uint64_t kIdleWindowNs = 8'000'000;
 
   int writer_pid() const { return producers_; }
+
+  void upsert_sync_impl(int p, const K& k, const V& v) {
+    submit(p, BatchOp::kUpsert, k, v);
+    wait_committed(p, submitted_ticket(p));
+  }
 
   // The one wait on a committed cursor: returns once r.committed reaches
   // `target`.
@@ -486,9 +499,12 @@ class BatchingMap {
   }
 
   bool parked_waiter_drained() const {
-    for (const auto& r : rings_) {
-      const std::uint64_t t = r->sync_waiting.load(std::memory_order_acquire);
-      if (t != 0 && r->popped.load(std::memory_order_relaxed) >= t) return true;
+    for (int p = 0; p < producers_; ++p) {
+      const Ring& r = *rings_[static_cast<std::size_t>(p)];
+      const std::uint64_t t = r.sync_waiting.load(std::memory_order_acquire);
+      if (t != 0 && r.popped.load(std::memory_order_relaxed) >= t) {
+        return true;
+      }
     }
     return false;
   }

@@ -1,12 +1,16 @@
-// Sharded multi-writer scale-out over the batching front-end. One
-// BatchingMap funnels every write through a single flattener, the measured
-// write ceiling of the stack; ShardedMap partitions the key space across N
-// independent BatchingMap shards, each with its own flattener, vm/ version
-// manager, rings and alloc/obs accounting, so update throughput scales
-// with shards until the memory system is the limit.
+// Sharded multi-writer scale-out over the batching front-end — the
+// ROADMAP's "millions of users" lever. One BatchingMap funnels every write
+// through a single flattener, which is the measured write ceiling of the
+// stack; ShardedMap partitions the key space across N independent
+// BatchingMap shards (splitmix64-mixed key -> shard), each with its own
+// flattener thread, vm/ version manager, rings, and alloc/obs accounting,
+// so update throughput scales with shards until the memory system, not the
+// flattener, is the limit.
 //
-// Shard routing: shard_of(k) = Lemire-reduce(splitmix64_mix(k), N), so
-// YCSB's dense [0, n) keys spread uniformly over any shard count.
+// Shard routing: shard_of(k) = Lemire-reduce(splitmix64_mix(k), N). The
+// mix makes the partition independent of any key-space structure (YCSB's
+// dense [0, n) keys spread uniformly), and the reduction avoids requiring
+// a power-of-two shard count.
 //
 // Cross-shard consistency protocol (the part a bag of independent maps
 // lacks):
@@ -136,8 +140,10 @@ class ShardedMap {
     }
   }
 
-  // Teardown destroys the shards in turn, each committing its backlog and
-  // freeing every version it tracks.
+  // Teardown destroys the shards in turn: each BatchingMap commits its
+  // backlog, quiesces the background reclaim lane and frees every version
+  // its manager tracks — ftree::live_nodes() returns to baseline once the
+  // map and its snapshots are gone.
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
 
