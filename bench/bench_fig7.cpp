@@ -185,6 +185,11 @@ void run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
 // and the rows came out non-monotone in 5 of 5 smoke runs on a 4-vCPU VM,
 // against 0 of 10 with 0.5 s cells.
 constexpr double kShardedSeconds = 0.5;
+// They also build and stream over at least kShardedKeys keys whatever
+// MVCC_SCALE says. At the smoke's 2 000 keys admission fill, not the
+// flattener, set the rate, so two shards barely beat one and the rows
+// were non-monotone in 2 of 10 smoke runs on a 4-vCPU VM.
+constexpr std::uint64_t kShardedKeys = 200'000;
 
 void run_sharded(int nshards, const CellConfig& cfg) {
   using SMap =
@@ -193,13 +198,14 @@ void run_sharded(int nshards, const CellConfig& cfg) {
                       vm::PswfVersionManager>;
   constexpr std::uint64_t kSnapshotMask = 8191;  // every 8192nd op
   const std::string name = "shardscale/s" + std::to_string(nshards);
-  workload::PartitionedYcsb part(workload::kYcsbA, cfg.keys, cfg.threads);
+  const std::uint64_t keys = std::max(cfg.keys, kShardedKeys);
+  workload::PartitionedYcsb part(workload::kYcsbA, keys, cfg.threads);
   std::vector<std::vector<YcsbOp>> streams;
   streams.reserve(static_cast<std::size_t>(cfg.threads));
   for (int t = 0; t < cfg.threads; ++t) {
     streams.push_back(part.stream(t, std::size_t{1} << 15));
   }
-  SMap map(cfg.threads, workload::ycsb_dataset(cfg.keys), nshards);
+  SMap map(cfg.threads, workload::ycsb_dataset(keys), nshards);
   const bench::Window w = bench::steady_state(
       cfg.threads, cfg.warmup, std::max(cfg.seconds, kShardedSeconds),
       [&](int t) {
@@ -329,8 +335,8 @@ int main() {
       "Sharded YCSB A scale-out (partitioned driver, update = committed)");
   std::printf("(keys=%llu producers=%d warmup=%.2fs measure=%.2fs per row; "
               "snapshot every 8192nd op)\n",
-              static_cast<unsigned long long>(cfg.keys), cfg.threads,
-              cfg.warmup, std::max(cfg.seconds, kShardedSeconds));
+              static_cast<unsigned long long>(std::max(cfg.keys, kShardedKeys)),
+              cfg.threads, cfg.warmup, std::max(cfg.seconds, kShardedSeconds));
   bench::Table sharded_table(
       {"shards", "mops", "upd_mops", "snapshots", "snap_retries"});
   for (int n : {1, 2, 4}) {

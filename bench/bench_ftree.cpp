@@ -126,7 +126,7 @@ void BM_TreeMultiInsertThreads(benchmark::State& state) {
   // into the same corpus with an explicit worker budget. The /1 rows are
   // the sequential baseline the speedup at /2, /4... is measured against
   // (the result tree is bit-identical at every worker count). Rates are per
-  // wall-clock second: the joining thread parks while thieves finish its
+  // wall-clock second: the joining thread parks while workers finish its
   // forks, so its CPU time says nothing about the speedup.
   const std::int64_t n = state.range(0);
   const int threads = static_cast<int>(state.range(1));

@@ -1,37 +1,33 @@
-// Shared work-stealing task pool: the execution substrate for the bulk
-// tree operations' fork-join parallelism (ftree/ops.h) and for
-// off-critical-path precise reclamation (alloc/reclaim.h). One
-// process-wide set of workers (sized by MVCC_THREADS) serves two lanes:
+// Shared task pool: the execution substrate for the bulk tree operations'
+// fork-join parallelism (ftree/ops.h) and for off-critical-path precise
+// reclamation (alloc/reclaim.h). One process-wide set of workers (sized by
+// MVCC_THREADS) serves two lanes:
 //
-//   * FOREGROUND (fork-join): invoke2(fa, fb) forks fb as a stack-allocated
-//     task onto the caller's deque, runs fa inline, then JOINS by helping —
-//     popping its own deque (LIFO) or stealing — until fb's done flag is
-//     set. The caller is always one of the computation's workers, so a pool
-//     of W threads gives MVCC_THREADS = W+1 way parallelism, and a pool
-//     that failed to spawn any thread still completes every invoke2 (the
-//     caller self-executes), centralizing the old per-site fallbacks.
+//   * FOREGROUND (fork-join): invoke2(fa, fb) appends fb, as a
+//     stack-allocated task, to the pool's one fork deque, runs fa inline,
+//     then JOINS by helping — running forks from the back of the deque
+//     (the newest, usually its own) — until fb's done flag is set. Any
+//     thread may call invoke2, and the caller is one of the computation's
+//     workers, so a pool of W threads gives MVCC_THREADS = W+1 way
+//     parallelism; a pool that failed to spawn any thread still completes
+//     every invoke2 (the caller self-executes).
 //   * BACKGROUND (defer/quiesce): defer(fn) queues work workers run only
-//     when the foreground is empty; quiesce() helps drain and blocks until
-//     every deferred task has COMPLETED. alloc/reclaim.h publishes a large
+//     when no fork is queued; quiesce() helps drain and blocks until every
+//     deferred task has COMPLETED. alloc/reclaim.h publishes a large
 //     commit's exact freed set here, so the commit returns before its
 //     destructors run.
 //
-// Deque design: per-worker mutex-guarded deques — owner pushes and pops at
-// the back (LIFO, the fork-join locality order), thieves take HALF from the
-// front (FIFO, the oldest and therefore biggest subproblems), parking the
-// extras on their own deque. A lock-free Chase–Lev deque does not extend
-// soundly to steal-half (the owner's uncontended pop takes non-top elements
-// without a CAS, so a thief CASing top across k elements can claim one the
-// owner also took); a mutex makes the take-k atomic, and every task is a
-// >= bulk-grain (thousands of node visits) subproblem or a whole reclaim
-// batch, so the lock is amortized to noise. External threads (the
-// flattener, bench drivers) fork through a shared inject queue and join by
-// helping from it, so any thread may call invoke2.
+// One deque, one mutex for both lanes: the bulk ops halve their worker
+// budget at every fork, so one op forks at most MVCC_THREADS - 1 times, and
+// every fork is a >= bulk-grain (thousands of node visits) subproblem, so
+// neither per-worker deques nor stealing pay for themselves. An idle worker
+// takes the front fork (the oldest, and so the biggest), else the oldest
+// deferred task.
 //
 // Waiting (exec::Parker, park.h): idle workers sleep on `work_` with no
 // timeout, so an idle pool costs no CPU; new work wakes it. Joiners and
-// quiesce help until nothing is left to steal or run, then sleep on
-// `finished_`, which a completed fork or the lane's last task wakes.
+// quiesce help until nothing is left to run, then sleep on `finished_`,
+// which a completed fork or the lane's last task wakes.
 //
 // Lifetime: Pool::instance() is a lazy singleton torn down at static
 // destruction; its constructor touches the obs registry/tracer singletons
@@ -49,7 +45,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -67,7 +62,7 @@ namespace mvcc::exec {
 // under obs::enabled()):
 //
 //   exec/tasks    tasks executed by the pool (forks + deferred batches)
-//   exec/steals   tasks that migrated off the deque they were pushed to
+//   exec/steals   forks run by a thread other than their joiner
 inline obs::Counter& exec_tasks() {
   static obs::Counter& c = obs::registry().counter("exec/tasks");
   return c;
@@ -77,16 +72,6 @@ inline obs::Counter& exec_steals() {
   static obs::Counter& c = obs::registry().counter("exec/steals");
   return c;
 }
-
-class Pool;
-
-namespace detail {
-// Worker identity: which pool (if any) owns the current thread, and its
-// deque index there. Non-worker threads keep {nullptr, -1} and go through
-// the inject queue.
-inline thread_local Pool* tl_pool = nullptr;
-inline thread_local int tl_id = -1;
-}  // namespace detail
 
 class Pool {
  public:
@@ -107,12 +92,10 @@ class Pool {
       (void)exec_tasks();
       (void)exec_steals();
     }
-    deques_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) deques_.push_back(std::make_unique<Deque>());
     threads_.reserve(static_cast<std::size_t>(n));
     try {
       for (int i = 0; i < n; ++i) {
-        threads_.emplace_back([this, i] { worker_loop(i); });
+        threads_.emplace_back([this] { worker_loop(); });
       }
     } catch (const std::system_error&) {
       // Thread limits: run with however many workers actually started.
@@ -144,8 +127,8 @@ class Pool {
   // under thread exhaustion; the pool still functions).
   int workers() const { return static_cast<int>(threads_.size()); }
 
-  // Fork-join: runs fa() on the calling thread and fb() potentially on a
-  // worker, returning {fa(), fb()}. The caller helps execute queued forks
+  // Fork-join: runs fa() on the calling thread and fb() potentially on
+  // another, returning {fa(), fb()}. The caller helps execute queued forks
   // while it waits, so nesting invoke2 to any depth cannot deadlock: every
   // blocked joiner is running tasks. An exception from either side
   // propagates after both completed (fa's wins if both throw); the other
@@ -164,8 +147,8 @@ class Pool {
     try {
       ra.emplace(fa());
     } catch (...) {
-      // The fork frame lives on this stack: it must finish (here or on a
-      // thief) before unwinding can destroy it.
+      // The fork frame lives on this stack: it must finish (here or on
+      // another thread) before unwinding can destroy it.
       join_fork(fork);
       throw;
     }
@@ -183,7 +166,7 @@ class Pool {
   void defer(F&& fn) {
     bg_pending_.fetch_add(1, std::memory_order_release);
     {
-      std::lock_guard<std::mutex> lock(bg_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       bg_.emplace_back(std::forward<F>(fn));
     }
     work_.wake();
@@ -211,6 +194,7 @@ class Pool {
     virtual void execute() = 0;
     std::exception_ptr error;
     std::atomic<bool> done{false};
+    const std::thread::id joiner = std::this_thread::get_id();  // steals
 
    protected:
     ~Task() = default;
@@ -231,18 +215,11 @@ class Pool {
     }
   };
 
-  struct Deque {
-    std::mutex mu;
-    std::deque<Task*> q;
-  };
-
-  void worker_loop(int id) {
-    detail::tl_pool = this;
-    detail::tl_id = id;
+  void worker_loop() {
     for (;;) {
       bool ran = false;
       work_.wait([&] {
-        ran = run_one(id);
+        ran = run_one();
         return ran || stop_.load(std::memory_order_acquire);
       });
       // Both lanes empty on stop is the exit condition (any fork still
@@ -251,34 +228,43 @@ class Pool {
     }
   }
 
-  // Runs one task: a fork if next_fork finds one, else a deferred one.
-  // False when both lanes were empty.
-  bool run_one(int id) {
-    Task* t = next_fork(id);
+  // Runs one task: the oldest fork, else the oldest deferred task. False
+  // when both lanes were empty.
+  bool run_one() {
+    Task* t = take_fork(/*newest=*/false);
     if (t == nullptr) return run_one_deferred();
     run_task(t);
     return true;
   }
 
-  // The newest fork on worker id's own deque (the inject queue for an
-  // external thread, id -1: most likely its own fork), else a stolen one.
-  Task* next_fork(int id) {
-    Task* t = pop_back(id >= 0 ? *deques_[static_cast<std::size_t>(id)]
-                               : inject_);
-    return t != nullptr ? t : try_steal(id);
+  Task* take_fork(bool newest) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (forks_.empty()) return nullptr;
+    Task* t = newest ? forks_.back() : forks_.front();
+    if (newest) {
+      forks_.pop_back();
+    } else {
+      forks_.pop_front();
+    }
+    return t;
   }
 
+  // Counts before it runs, so a joiner that sees the fork done sees it
+  // counted.
   void run_task(Task* t) {
+    if (obs::enabled()) {
+      exec_tasks().add();
+      if (t->joiner != std::this_thread::get_id()) exec_steals().add();
+    }
     t->execute();
     // `t` may be a stack frame its joiner is already destroying — done.
     finished_.wake();
-    if (obs::enabled()) exec_tasks().add();
   }
 
   bool run_one_deferred() {
     std::function<void()> t;
     {
-      std::lock_guard<std::mutex> lock(bg_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       if (bg_.empty()) return false;
       t = std::move(bg_.front());
       bg_.pop_front();
@@ -296,26 +282,21 @@ class Pool {
   }
 
   void push_fork(Task* t) {
-    if (detail::tl_pool == this) {
-      Deque& d = *deques_[static_cast<std::size_t>(detail::tl_id)];
-      std::lock_guard<std::mutex> lock(d.mu);
-      d.q.push_back(t);
-    } else {
-      std::lock_guard<std::mutex> lock(inject_.mu);
-      inject_.q.push_back(t);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      forks_.push_back(t);
     }
     work_.wake();
   }
 
-  // Joins a fork by helping: runs own-deque tasks (LIFO — our fork or an
-  // ancestor's, both useful) or stolen ones until the fork's done flag is
-  // set, and parks once there is nothing left to run while a thief
-  // finishes it.
+  // Joins a fork by helping: runs the newest queued fork (its own, or one
+  // a nested or concurrent invoke2 pushed since) until the fork's done flag
+  // is set, and parks once nothing is queued while another thread finishes
+  // it.
   void join_fork(Task& fork) {
-    const int id = detail::tl_pool == this ? detail::tl_id : -1;
     finished_.wait([&] {
       while (!fork.done.load(std::memory_order_acquire)) {
-        Task* t = next_fork(id);
+        Task* t = take_fork(/*newest=*/true);
         if (t == nullptr) return false;
         run_task(t);
       }
@@ -323,62 +304,14 @@ class Pool {
     });
   }
 
-  static Task* pop_back(Deque& d) {
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (d.q.empty()) return nullptr;
-    Task* t = d.q.back();
-    d.q.pop_back();
-    return t;
-  }
-
-  // Steals from the front of some victim (worker deques + the inject
-  // queue). A worker thief takes half the victim's queue, parking the
-  // extras on its own deque (where peers can re-steal them); an external
-  // thief has no deque and takes one.
-  Task* try_steal(int self) {
-    const int n = static_cast<int>(deques_.size());
-    const unsigned start = steal_cursor_.fetch_add(1, std::memory_order_relaxed);
-    Task* first = nullptr;
-    std::vector<Task*> extra;
-    for (int i = 0; i <= n && first == nullptr; ++i) {
-      const int v = static_cast<int>((start + static_cast<unsigned>(i)) %
-                                     static_cast<unsigned>(n + 1));
-      if (v == self) continue;
-      Deque& d = v == n ? inject_ : *deques_[static_cast<std::size_t>(v)];
-      std::lock_guard<std::mutex> lock(d.mu);
-      if (d.q.empty()) continue;
-      const std::size_t take = self >= 0 ? (d.q.size() + 1) / 2 : 1;
-      first = d.q.front();
-      d.q.pop_front();
-      for (std::size_t k = 1; k < take; ++k) {
-        extra.push_back(d.q.front());
-        d.q.pop_front();
-      }
-    }
-    if (first != nullptr && !extra.empty()) {
-      {
-        Deque& own = *deques_[static_cast<std::size_t>(self)];
-        std::lock_guard<std::mutex> lock(own.mu);
-        for (Task* t : extra) own.q.push_back(t);
-      }
-      work_.wake();
-    }
-    if (first != nullptr && obs::enabled()) {
-      exec_steals().add(1 + static_cast<std::uint64_t>(extra.size()));
-    }
-    return first;
-  }
-
-  std::vector<std::unique_ptr<Deque>> deques_;
-  Deque inject_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stop_{false};
-  std::atomic<unsigned> steal_cursor_{0};
   // Idle workers sleep on work_; joiners and quiesce on finished_ (see the
   // header), so a finished fork does not rouse the idle workers.
   Parker work_;
   Parker finished_;
-  std::mutex bg_mu_;
+  std::mutex mu_;  // guards both lanes
+  std::deque<Task*> forks_;
   std::deque<std::function<void()>> bg_;
   std::atomic<std::int64_t> bg_pending_{0};
 };

@@ -1,6 +1,6 @@
-// exec/pool.h: fork-join correctness (nested forks, stealing, exceptions),
-// the background defer/quiesce lane, parked workers waking for new work,
-// and clean shutdown with queued work.
+// exec/pool.h: fork-join correctness (nested forks, forks run by workers,
+// exceptions), the exec/steals count, the background defer/quiesce lane,
+// parked workers waking for new work, and clean shutdown with queued work.
 // The fork-join ftree integration (bit-identical parallel bulk ops) is
 // covered by test_ftree; this file exercises the pool itself.
 #include <atomic>
@@ -20,7 +20,8 @@ namespace {
 using namespace mvcc;
 
 // Recursive fork-join sum of [lo, hi): every level forks, so a run over a
-// wide range exercises nested forks, own-deque LIFO pops, and steals.
+// wide range exercises nested forks, joiners running the newest fork, and
+// workers taking the oldest.
 std::uint64_t par_sum(exec::Pool& pool, std::uint64_t lo, std::uint64_t hi) {
   if (hi - lo <= 512) {
     std::uint64_t s = 0;
@@ -37,6 +38,20 @@ constexpr std::uint64_t sum_formula(std::uint64_t n) {
   return n * (n - 1) / 2;
 }
 
+constexpr std::uint64_t kWindowUs = exec::Parker::kSpinWindowNs / 1000;
+
+// Yields until `flag` is set or 30 s pass, and returns the flag. An fa that
+// waits with it does not help, so only a worker can run its fork.
+bool await_flag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!flag.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  return flag.load(std::memory_order_acquire);
+}
+
 TEST(Exec, Invoke2ReturnsBothResultsInArgumentOrder) {
   exec::Pool pool(2);
   auto [a, b] = pool.invoke2([] { return 1; }, [] { return 2; });
@@ -51,26 +66,58 @@ TEST(Exec, NestedForksComputeTheSequentialAnswer) {
 
 TEST(Exec, WorkerStealsAnInjectedFork) {
   // fa deliberately does NOT help (it only watches the flag), so the fork
-  // can complete only if the pool's worker steals it from the inject
-  // queue — a deterministic cross-thread-execution check.
+  // can complete only if the pool's worker takes it from the fork deque —
+  // a deterministic cross-thread-execution check. The worker runs a
+  // deferred task first, so it has started, and is then let park well past
+  // the spin window, so the fork must wake it.
   exec::Pool pool(1);
+  std::atomic<bool> started{false};
+  pool.defer([&] { started.store(true, std::memory_order_release); });
+  ASSERT_TRUE(await_flag(started));
+  std::this_thread::sleep_for(std::chrono::microseconds(20 * kWindowUs));
   std::atomic<bool> fb_ran{false};
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  auto [a, b] = pool.invoke2(
-      [&] {
-        while (!fb_ran.load(std::memory_order_acquire) &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::yield();
-        }
-        return fb_ran.load(std::memory_order_acquire) ? 1 : 0;
-      },
-      [&] {
-        fb_ran.store(true, std::memory_order_release);
-        return 2;
-      });
-  EXPECT_EQ(a, 1) << "worker never stole the injected fork";
+  auto [a, b] = pool.invoke2([&] { return await_flag(fb_ran) ? 1 : 0; },
+                             [&] {
+                               fb_ran.store(true, std::memory_order_release);
+                               return 2;
+                             });
+  EXPECT_EQ(a, 1) << "the worker never ran the fork";
   EXPECT_EQ(b, 2);
+}
+
+// exec/steals, which perfbench's exec.steals_per_batch reads, counts the
+// forks a thread other than their joiner ran.
+TEST(Exec, StealsCountOnlyForksAnotherThreadRan) {
+  obs::set_enabled(true);
+  exec::Pool pool(1);
+  const auto steals = [] { return exec::exec_steals().value(); };
+
+  // The worker runs the fork while fa waits for it.
+  std::uint64_t before = steals();
+  std::atomic<bool> fb_ran{false};
+  auto [a, b] = pool.invoke2([&] { return await_flag(fb_ran) ? 1 : 0; },
+                             [&] {
+                               fb_ran.store(true, std::memory_order_release);
+                               return 2;
+                             });
+  EXPECT_EQ(a + b, 3);
+  EXPECT_EQ(steals() - before, 1u);
+
+  // The worker is held in a deferred task, so the joiner runs its own fork.
+  std::atomic<bool> busy{false};
+  std::atomic<bool> release{false};
+  pool.defer([&] {
+    busy.store(true, std::memory_order_release);
+    await_flag(release);
+  });
+  ASSERT_TRUE(await_flag(busy));
+  before = steals();
+  auto [c, d] = pool.invoke2([] { return 3; }, [] { return 4; });
+  EXPECT_EQ(c + d, 7);
+  EXPECT_EQ(steals() - before, 0u);
+  release.store(true, std::memory_order_release);
+  pool.quiesce();
+  obs::set_enabled(false);
 }
 
 TEST(ExecStress, ForkJoinFromManyExternalThreadsUnderContention) {
@@ -180,7 +227,6 @@ TEST(Exec, ShutdownDrainsQueuedDeferredTasks) {
 TEST(Exec, ParkedWorkersWakeForDeferredWork) {
   constexpr int kRounds = 1000;
   constexpr auto kDeadline = std::chrono::seconds(10);
-  constexpr std::uint64_t kWindowUs = exec::Parker::kSpinWindowNs / 1000;
   struct Run {
     exec::Pool pool{1};
     std::atomic<bool> ran{false};

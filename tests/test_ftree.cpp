@@ -497,7 +497,9 @@ TEST(Ftree, UniformRewritesKeepBlocksWhole) {
 TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
   // 64 keys into a 2^17-key version is about 384 estimated copies, below
   // the two fork_work() (1024) a first fork needs, so it must not fork; a
-  // batch of 2^14 keys is far above and must.
+  // batch of 2^14 keys is far above and must. Each fork halves the worker
+  // budget, so a 4-worker bulk op forks at most 3 times, however big: the
+  // premise of exec/pool.h's single fork deque.
   // exec/tasks counts every fork the pool runs.
   const long long base_live = ftree::live_nodes();
   obs::set_enabled(true);
@@ -525,7 +527,14 @@ TEST(Ftree, MultiInsertForksOnlyAboveTheGrain) {
       return added;
     };
     EXPECT_EQ(tasks_added(64), 0u);
-    EXPECT_GE(tasks_added(1 << 14), 1u);
+    const std::uint64_t big = tasks_added(1 << 14);
+    EXPECT_GE(big, 1u);
+    EXPECT_LE(big, 3u);
+    const std::uint64_t before = exec::exec_tasks().value();
+    N* b = ftree::build_sorted<std::uint64_t, std::uint64_t, Aug>(
+        std::span<const std::pair<std::uint64_t, std::uint64_t>>(entries), 4);
+    EXPECT_LE(exec::exec_tasks().value() - before, 3u);
+    ftree::collect(b);
     ftree::collect(t);
   }
   obs::set_enabled(false);
