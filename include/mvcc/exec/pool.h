@@ -194,7 +194,7 @@ class Pool {
     virtual void execute() = 0;
     std::exception_ptr error;
     std::atomic<bool> done{false};
-    const std::thread::id joiner = std::this_thread::get_id();  // steals
+    const std::thread::id joiner = std::this_thread::get_id();  // exec/steals
 
    protected:
     ~Task() = default;
