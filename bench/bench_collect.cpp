@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
@@ -97,11 +96,11 @@ void BM_TreeCollectOneVersionOfMany(benchmark::State& state) {
   ftree::collect(base);
 }
 
-// Deterministic precise-GC self-check, printed after the benchmarks and
-// gated in CI: dropping two versions that share structure must free
-// exactly the nodes the exact-reachability oracle counts from both
-// (freed == reachable), and leave no node live (live == 0).
-void print_selfcheck() {
+// Deterministic precise-GC self-check, recorded as collect/selfcheck_*
+// gauges after the benchmarks: dropping two versions that share structure
+// must free exactly the nodes the exact-reachability oracle counts from
+// both (freed == reachable), and leave no node live (live == 0).
+void record_selfcheck() {
   using N = ftree::Node<std::uint64_t, std::uint64_t>;
   constexpr std::uint64_t kMod = 100003;
   N* base = nullptr;
@@ -118,9 +117,10 @@ void print_selfcheck() {
       ftree::reachable_nodes(std::vector<const N*>{base, derived});
   std::size_t freed = ftree::collect(derived);
   freed += ftree::collect(base);
-  std::printf("collect/selfcheck_freed=%zu\n", freed);
-  std::printf("collect/selfcheck_reachable=%zu\n", reachable);
-  std::printf("collect/selfcheck_live=%lld\n", ftree::live_nodes());
+  auto& reg = obs::registry();
+  reg.gauge("selfcheck_freed").set(freed);
+  reg.gauge("selfcheck_reachable").set(reachable);
+  reg.gauge("selfcheck_live").set(ftree::live_nodes());
 }
 
 }  // namespace
@@ -131,15 +131,14 @@ BENCHMARK(BM_TreeCollectWholeTree)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_TreeCollectOneVersionOfMany)->Arg(1000)->Arg(100000);
 
 // Hand-rolled BENCHMARK_MAIN so the observability session (footprint
-// sampler, trace dump, registry JSON) also covers the self-check, keeping
-// its JSON block last on stdout.
+// sampler, trace dump, registry JSON) also covers the self-check.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   {
     mvcc::bench::ObsSession obs_session("collect");
     benchmark::RunSpecifiedBenchmarks();
-    print_selfcheck();
+    record_selfcheck();
   }
   benchmark::Shutdown();
   return 0;

@@ -351,8 +351,5 @@ int main() {
          std::to_string(reg.gauge(row + "snap_retries").value())});
   }
   sharded_table.print();
-  std::printf("expected shape: upd_mops rises monotonically with shards on "
-              "a multi-core host\n(one flattener per shard; shards=1 is the "
-              "single-flattener write ceiling).\n");
   return 0;
 }

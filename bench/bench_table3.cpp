@@ -188,7 +188,5 @@ int main() {
     table.add_row(std::move(row));
   }
   table.print();
-  std::printf("shape check: Tu + Tq should be close to Tu+q (the paper's "
-              "finding that concurrency is nearly free)\n");
   return 0;
 }

@@ -166,8 +166,5 @@ int main() {
     }
   }
   ablation.print();
-  std::printf("expected shape (paper 7.1): near-identical throughput; the\n"
-              "helping machinery is insurance against adversarial stalls,\n"
-              "not a fast-path cost.\n");
   return 0;
 }

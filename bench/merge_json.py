@@ -7,7 +7,7 @@ Each OUTPUT is a bench's captured stdout. Every bench ends its stdout with
 its obs registry dumped as one JSON object, keys already namespaced by the
 bench (fig7/..., batching/..., table3/..., collect/...); that block is
 taken as is. A .csv input is the footprint sampler's t_ms,col,... curve,
-summarised to footprint/<col>/peak|mean|final.
+summarised to footprint/<col>/first|peak|mean|final.
 
 Fails when an output has no JSON block, a CSV has no samples, or two inputs
 emit the same key.
@@ -34,6 +34,7 @@ def footprint(path):
     out = {}
     for i, col in enumerate(rows[0][1:], start=1):
         values = [int(r[i]) for r in rows[1:]]
+        out[f"footprint/{col}/first"] = values[0]
         out[f"footprint/{col}/peak"] = max(values)
         out[f"footprint/{col}/mean"] = round(sum(values) / len(values), 3)
         out[f"footprint/{col}/final"] = values[-1]
