@@ -4,6 +4,7 @@
 // magnitude of S (linear total cost).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -123,6 +124,28 @@ void record_selfcheck() {
   reg.gauge("selfcheck_live").set(ftree::live_nodes());
 }
 
+// Console output (uncoloured), plus BM_PlmCollectChain's ns per freed
+// tuple at each S as the gauge chain/s<S>/ns_per_tuple: the numbers the
+// claims ledger's Thm 4.2 cost line compares across S.
+class ChainCostReporter : public benchmark::ConsoleReporter {
+ public:
+  ChainCostReporter() : ConsoleReporter(OO_None) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& r : runs) {
+      if (r.run_type != Run::RT_Iteration || r.error_occurred ||
+          r.run_name.function_name != "BM_PlmCollectChain") {
+        continue;
+      }
+      const double per_s = r.counters.at("items_per_second").value;
+      obs::registry()
+          .gauge("chain/s" + r.run_name.args + "/ns_per_tuple")
+          .set(std::llround(1e9 / per_s));
+    }
+  }
+};
+
 }  // namespace
 
 BENCHMARK(BM_PlmCollectChain)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
@@ -137,7 +160,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   {
     mvcc::bench::ObsSession obs_session("collect");
-    benchmark::RunSpecifiedBenchmarks();
+    ChainCostReporter reporter;
+    benchmark::RunSpecifiedBenchmarks(&reporter);
     record_selfcheck();
   }
   benchmark::Shutdown();

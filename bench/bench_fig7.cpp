@@ -174,7 +174,8 @@ void run_ours(const YcsbSpec& spec, const ZipfGenerator& zipf,
 // op stream over its own contiguous key partition (Zipfian within the
 // partition, zero generation cost in the loop), updates are async submits,
 // and every 8192nd op takes a cross-shard snapshot and reads through it,
-// exercising the version-vector validate-retry path under load. The
+// exercising the snapshot's fast pin pass under load (no multi-shard
+// commit runs here, so no snapshot takes the mutex pass). The
 // update column is COMMITTED ops (the flattener ceiling sharding lifts),
 // not submits; expected shape on a multi-core host is upd_ops_per_s rising
 // monotonically with the shard count. Recorded as shardscale/s<N>/*.

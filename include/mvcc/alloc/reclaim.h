@@ -33,8 +33,9 @@
 namespace mvcc::alloc {
 
 // Payloads published to the background lane and not yet freed; nonzero
-// means the lane is busy. Maintained unconditionally (two relaxed RMWs per
-// deferred BATCH, off every hot path).
+// means the lane is busy. Maintained unconditionally (two RMWs per
+// deferred BATCH, off every hot path). The deferred task's decrement is a
+// release, so an acquire load that reads 0 sees every batch's frees done.
 inline std::atomic<std::int64_t>& reclaim_queue_depth() {
   static std::atomic<std::int64_t> depth{0};
   return depth;
@@ -82,13 +83,17 @@ void reclaim_retired(std::vector<T*> dead, std::uint64_t work) {
                         static_cast<std::uint64_t>(batch.size()));
     for (T* p : batch) destroy(p);
     reclaim_queue_depth().fetch_sub(static_cast<std::int64_t>(batch.size()),
-                                    std::memory_order_relaxed);
+                                    std::memory_order_release);
   });
 }
 
 // Blocks until every batch ever routed to the background lane has been
-// freed (helping drain from the calling thread). Trivially quiescent when
-// the pool was never created or the lane never engaged.
-inline void reclaim_quiesce() { exec::quiesce_deferred(); }
+// freed (helping drain from the calling thread). An empty lane returns at
+// once, without creating the pool.
+inline void reclaim_quiesce() {
+  if (reclaim_queue_depth().load(std::memory_order_acquire) != 0) {
+    exec::Pool::instance().quiesce();
+  }
+}
 
 }  // namespace mvcc::alloc

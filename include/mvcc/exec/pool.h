@@ -119,10 +119,6 @@ class Pool {
   // The process-wide pool, created on first use and sized default_workers().
   static Pool& instance();
 
-  // The process-wide pool if instance() has ever run, else nullptr — so
-  // quiesce paths need not create a pool just to find nothing to drain.
-  static Pool* instance_if_created();
-
   // Worker threads actually running (may be below the requested count
   // under thread exhaustion; the pool still functions).
   int workers() const { return static_cast<int>(threads_.size()); }
@@ -316,26 +312,9 @@ class Pool {
   std::atomic<std::int64_t> bg_pending_{0};
 };
 
-namespace detail {
-inline std::atomic<Pool*> g_pool{nullptr};
-
-// Wraps the singleton so the published pointer is set after construction
-// completes and cleared before destruction begins — instance_if_created()
-// never observes a half-built or dying pool.
-struct GlobalPool {
-  Pool pool{Pool::default_workers()};
-  GlobalPool() { g_pool.store(&pool, std::memory_order_release); }
-  ~GlobalPool() { g_pool.store(nullptr, std::memory_order_release); }
-};
-}  // namespace detail
-
 inline Pool& Pool::instance() {
-  static detail::GlobalPool g;
-  return g.pool;
-}
-
-inline Pool* Pool::instance_if_created() {
-  return detail::g_pool.load(std::memory_order_acquire);
+  static Pool pool{Pool::default_workers()};
+  return pool;
 }
 
 // Fork-join on the process-wide pool: {fa(), fb()} with fb potentially on
@@ -343,12 +322,6 @@ inline Pool* Pool::instance_if_created() {
 template <class FA, class FB>
 auto invoke2(FA&& fa, FB&& fb) {
   return Pool::instance().invoke2(std::forward<FA>(fa), std::forward<FB>(fb));
-}
-
-// Drains the process-wide pool's background lane if the pool exists;
-// trivially quiescent otherwise.
-inline void quiesce_deferred() {
-  if (Pool* p = Pool::instance_if_created()) p->quiesce();
 }
 
 }  // namespace mvcc::exec

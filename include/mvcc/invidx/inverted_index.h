@@ -122,10 +122,6 @@ class InvertedIndex {
     std::sort(pairs.begin(), pairs.end());
     pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-    // Resolve the worker budget once per batch: the per-term applies below
-    // would otherwise re-read MVCC_THREADS for every touched term, right
-    // on the timed writer hot path.
-    const int workers = config().threads;
     Map* cur = vm_.acquire(p);
     // Per touched term: apply its doc run over the term's current posting
     // list (docs replace — last write wins), or build a new term's list.
@@ -141,14 +137,13 @@ class InvertedIndex {
       delta.emplace_back(
           t, old != nullptr
                  ? old->multi_inserted(
-                       std::span<const typename PostingList::Entry>(docs),
-                       workers)
+                       std::span<const typename PostingList::Entry>(docs))
                  : PostingList::from_entries(std::move(docs)));
     }
     // `delta` is sorted by term with unique keys — already prepared — so
     // one parallel bulk multi_insert publishes the whole batch.
-    Map next = cur->multi_inserted(
-        std::span<const typename Map::Entry>(delta), workers);
+    Map next =
+        cur->multi_inserted(std::span<const typename Map::Entry>(delta));
     free_now(vm_.set(p, alloc::create<Map>(std::move(next))));
     free_now(vm_.release(p));
   }

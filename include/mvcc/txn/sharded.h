@@ -16,18 +16,18 @@
 // lacks):
 //
 //   * snapshot(p) returns a version vector — one pinned FMap snapshot per
-//     shard, acquired through each shard's vm/ acquire path
-//     (vm::acquire_version_vector) — that is MUTUALLY CONSISTENT: it never
-//     observes a torn multi_upsert_sync. Consistency comes from a seqlock
-//     epoch: every multi-shard commit holds the epoch odd from before its
-//     first submit until after every involved shard's sync ticket has
-//     committed; the snapshot's validate-retry pass waits for an even
-//     epoch, pins all shards, and re-reads — a changed epoch means a
-//     multi-shard commit overlapped, so the pins are dropped and the pass
-//     retries (counted in sharded/snapshot_retries). After
-//     kSnapshotRetryBudget failed passes the snapshot serializes behind
-//     the committers by taking the multi-commit mutex, bounding the loop
-//     under a storm of multi-shard commits.
+//     shard, acquired through each shard's vm/ acquire path — that is
+//     MUTUALLY CONSISTENT: it never observes a torn multi_upsert_sync.
+//     Consistency comes from a seqlock epoch: every multi-shard commit
+//     holds the epoch odd from before its first submit until after every
+//     involved shard's sync ticket has committed. The snapshot makes at
+//     most two pin passes. The fast pass reads an even epoch, pins all
+//     shards and re-reads it; an unchanged epoch means no multi-shard
+//     commit overlapped the pins. Otherwise (odd at the start, or
+//     changed) the pins are dropped and the slow pass pins every shard
+//     once under the multi-commit mutex, which no multi-shard commit holds
+//     between its odd and even flips; a blocked snapshot sleeps on the
+//     mutex (counted in sharded/snapshot_retries).
 //
 //   * multi_upsert_sync(p, ops) commits a multi-key write spanning any
 //     subset of shards atomically with respect to snapshots: submit every
@@ -45,7 +45,7 @@
 //
 // Metrics (registered up front, cumulative across instances like txn/*):
 //   sharded/snapshots           cross-shard version vectors taken
-//   sharded/snapshot_retries    validate passes that failed and retried
+//   sharded/snapshot_retries    snapshots that took the mutex pass
 //   sharded/multi_commits       multi_upsert_sync calls committed
 //   sharded/multi_ops           ops those calls carried
 #pragma once
@@ -63,10 +63,8 @@
 #include <vector>
 
 #include "mvcc/common/rng.h"
-#include "mvcc/exec/park.h"
 #include "mvcc/obs/obs.h"
 #include "mvcc/txn/batching.h"
-#include "mvcc/vm/base.h"
 
 namespace mvcc::txn {
 
@@ -188,13 +186,13 @@ class ShardedMap {
   // Later duplicate keys win (each shard's flattener dedups last-wins in
   // submission order). Blocks until every involved shard has committed.
   // Multi-shard commits serialize against each other; they run concurrently
-  // with single-shard traffic and (lock-free) snapshots.
+  // with single-shard traffic and with snapshots' fast passes.
   void multi_upsert_sync(int p, std::span<const Entry> ops) {
     if (ops.empty()) return;
     obs::TraceSpan span("sharded/multi_commit", ops.size());
     std::lock_guard<std::mutex> lk(multi_mu_);
     // Epoch to odd BEFORE the first submit: any snapshot pinned from here
-    // until the matching even flip fails its validate pass.
+    // until the matching even flip fails its fast pass.
     epoch_.fetch_add(1, std::memory_order_seq_cst);
     // Submit everything first, then collect tickets, then park: the
     // per-shard commit waits overlap instead of adding up.
@@ -211,10 +209,9 @@ class ShardedMap {
       if (tickets[s] != 0) shards_[s]->wait_committed(p, tickets[s]);
     }
     // Even flip only after every involved shard's ticket committed: a
-    // snapshot whose stable-epoch read sees the new value therefore sees
+    // snapshot whose first epoch read sees the new value therefore sees
     // every shard's published version (release/acquire on the epoch).
     epoch_.fetch_add(1, std::memory_order_seq_cst);
-    epoch_wake_.wake();
     if (obs::enabled()) {
       multi_commits_counter().add();
       multi_ops_counter().add(ops.size());
@@ -222,32 +219,31 @@ class ShardedMap {
   }
 
   // Cross-shard consistent snapshot through VM slot p (same slot contract
-  // as get: one thread per producer index at a time). Lock-free validate-
-  // retry against in-flight multi-shard commits; falls back to serializing
-  // behind them after kSnapshotRetryBudget failed passes.
+  // as get: one thread per producer index at a time). Lock-free while no
+  // multi-shard commit overlaps it; otherwise it waits for the one in
+  // flight on the multi-commit mutex.
   Snapshot snapshot(int p) {
     obs::TraceSpan span("sharded/snapshot");
-    std::uint64_t retries = 0;
-    auto vec = vm::acquire_version_vector<ReadTxn>(
-        shards_.size(), [this] { return stable_epoch(); },
-        [this, p](std::size_t s) { return shards_[s]->read_txn(p); },
-        &retries, kSnapshotRetryBudget);
-    if (vec.empty()) {
-      // Retry budget exhausted under a storm of multi-shard commits:
-      // holding multi_mu_ excludes them, so one unvalidated pass suffices.
+    std::vector<ReadTxn> vec;
+    vec.reserve(shards_.size());
+    const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
+    if ((e & 1) == 0) pin_all(p, vec);
+    const bool slow =
+        (e & 1) != 0 || epoch_.load(std::memory_order_seq_cst) != e;
+    if (slow) {
+      // A multi-shard commit overlapped the pins: drop them, and pin once
+      // more with every multi-shard commit excluded.
+      vec.clear();
       std::lock_guard<std::mutex> lk(multi_mu_);
-      vec.reserve(shards_.size());
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        vec.push_back(shards_[s]->read_txn(p));
-      }
+      pin_all(p, vec);
+      snapshot_retries_.fetch_add(1, std::memory_order_relaxed);
     }
-    snapshot_retries_.fetch_add(retries, std::memory_order_relaxed);
     snapshots_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) {
       snapshots_counter().add();
-      if (retries != 0) snapshot_retries_counter().add(retries);
+      if (slow) snapshot_retries_counter().add();
     }
-    span.set_arg(retries);
+    span.set_arg(slow ? 1 : 0);
     return Snapshot(std::move(vec));
   }
 
@@ -282,21 +278,8 @@ class ShardedMap {
   }
 
  private:
-  // Snapshot validate passes tolerated before serializing behind the
-  // multi-commit mutex. Multi-shard commits are batched sync writes (tens
-  // of microseconds each), so a handful of retries already spans several
-  // full commit windows.
-  static constexpr std::uint64_t kSnapshotRetryBudget = 8;
-
-  // Waits until the epoch is even (no multi-shard commit in flight) and
-  // returns it — the validation token of the snapshot protocol.
-  std::uint64_t stable_epoch() const {
-    std::uint64_t e = 0;
-    epoch_wake_.wait([&] {
-      e = epoch_.load(std::memory_order_seq_cst);
-      return (e & 1) == 0;
-    });
-    return e;
+  void pin_all(int p, std::vector<ReadTxn>& vec) {
+    for (auto& s : shards_) vec.push_back(s->read_txn(p));
   }
 
   static obs::Counter& snapshots_counter() {
@@ -319,9 +302,7 @@ class ShardedMap {
   // Seqlock epoch of the cross-shard protocol: even = quiescent, odd = a
   // multi-shard commit is between its first submit and last ticket.
   std::atomic<std::uint64_t> epoch_{0};
-  // Snapshots waiting for an even epoch sleep here; the even flip wakes it.
-  exec::Parker epoch_wake_;
-  // Serializes multi-shard commits (and the snapshot fallback) against
+  // Serializes multi-shard commits (and the snapshot's slow pass) against
   // each other; never touched by single-shard traffic.
   std::mutex multi_mu_;
 

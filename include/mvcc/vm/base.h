@@ -83,51 +83,6 @@ inline void register_vm_probes() {
 // reports it in its config line.
 constexpr bool bg_reclaim_enabled() { return true; }
 
-// --- Cross-manager version vectors ---------------------------------------
-//
-// A sharded client owns N independent managers — one per shard, each under
-// its own single-writer contract — and needs a snapshot that is mutually
-// consistent ACROSS them: a version vector no cross-shard commit is torn
-// through. A single manager's acquire cannot provide that (each pin is
-// individually consistent but the vector is assembled over a window other
-// shards keep committing through), so the client publishes a validation
-// token — typically a seqlock epoch its cross-shard commits straddle — and
-// acquire_version_vector runs the validate-retry pass:
-//
-//   1. read the token (the callback must not return while a cross-shard
-//      commit is in flight, e.g. spin while the epoch is odd),
-//   2. pin every shard through its manager's own acquire path,
-//   3. re-read the token; a change means a cross-shard commit overlapped
-//      the pins — drop them (Snap destructors release) and retry.
-//
-// The pins themselves use whichever vm/ algorithm the shards run (PSWF's
-// bounded-delay acquire keeps each attempt wait-free), so the loop is
-// lock-free overall: it only retries while writers make commit progress.
-// `max_retries` bounds the pass for callers that want to fall back to
-// serializing behind the committers (txn/sharded.h takes its multi-commit
-// mutex then); on exhaustion the vector returned is empty. `retries`, when
-// non-null, accumulates the failed passes for the caller's telemetry
-// (sharded/snapshot_retries).
-template <class Snap, class TokenFn, class PinFn>
-std::vector<Snap> acquire_version_vector(std::size_t shards, TokenFn&& token,
-                                         PinFn&& pin,
-                                         std::uint64_t* retries = nullptr,
-                                         std::uint64_t max_retries = ~0ULL) {
-  std::vector<Snap> vec;
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    const std::uint64_t t0 = token();
-    vec.clear();
-    vec.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) vec.push_back(pin(s));
-    if (token() == t0) return vec;
-    if (retries != nullptr) ++*retries;
-    if (attempt >= max_retries) {
-      vec.clear();
-      return vec;
-    }
-  }
-}
-
 // The compile-time shape of a VM algorithm; benches and the workload
 // harness template over any VM satisfying this.
 template <class VM, class T>

@@ -36,10 +36,13 @@ def smoke():
     m.update({"collect/selfcheck_freed": 6284,
               "collect/selfcheck_reachable": 6284,
               "collect/selfcheck_live": 0})
-    m.update({"footprint/ftree/live_bytes/first": 10,
+    m.update({"footprint/ftree/live_bytes/first": 0,
               "footprint/ftree/live_bytes/peak": 3000,
               "footprint/ftree/live_bytes/mean": 700.5,
               "footprint/ftree/live_bytes/final": 0})
+    # Collect's ns per freed tuple, exactly 2x S = 100's at the largest S.
+    for s, ns in ((10, 80), (100, 30), (1000, 26), (10000, 60)):
+        m[f"collect/chain/s{s}/ns_per_tuple"] = ns
     # Tu+q just under 1.5 x (Tu + Tq) on p2, the row the tests push over.
     for p, tu, tq, tuq in (("p1", 100, 50, 120), ("p2", 100, 100, 299)):
         m.update({f"table3/{p}/Tu_ns": tu, f"table3/{p}/Tq_ns": tq,
@@ -89,7 +92,7 @@ def edited(changes):
 
 THM_3_4 = "Thm 3.4, O(P) live versions"
 SELFCHECK = "Thm 4.2, exactly the unreachable nodes freed"
-FOOTPRINT = "Footprint, ftree/live_bytes rose and fell"
+FOOTPRINT = "Footprint, ftree/live_bytes rose and fell back to its start"
 TABLE_3 = "Table 3, concurrency is nearly free"
 SHARDS = "Fig 7, sharded write scale-out"
 SEC_7_1 = "§7.1 / Table 2, PSWF/PSLF query within 15% of HP"
@@ -114,7 +117,7 @@ class Claims(unittest.TestCase):
                                     FOOTPRINT: "HOLDS", TABLE_3: "HOLDS",
                                     SHARDS: "HOLDS", SEC_7_1: "HOLDS",
                                     FIG_6: "HOLDS", FIG_7: "HOLDS",
-                                    COST: "NOT MEASURED"})
+                                    COST: "HOLDS"})
 
     def test_thm_3_4_bound_is_readers_plus_two(self):
         for vm in ("PSWF", "PSLF"):
@@ -143,6 +146,12 @@ class Claims(unittest.TestCase):
             self.assertBreaks(edited({key: 3000}), FOOTPRINT)
         self.assertBreaks(edited({"footprint/ftree/live_bytes/first": None}),
                           FOOTPRINT, "NOT MEASURED")
+
+    def test_footprint_returns_exactly_to_its_start(self):
+        # A final footprint above the first one, even far below the peak,
+        # is memory the run never gave back.
+        self.assertBreaks(edited({"footprint/ftree/live_bytes/final": 1}),
+                          FOOTPRINT)
 
     def test_table3_bound_is_one_and_a_half(self):
         # Exactly 1.5 x (Tu + Tq) fails.
@@ -173,6 +182,21 @@ class Claims(unittest.TestCase):
             self.assertBreaks(edited({key: 0}), SHARDS)
         self.assertBreaks(edited({"fig7/shardscale/s2/shard1/ops": None}),
                           SHARDS, "NOT MEASURED")
+
+    def test_collect_cost_is_reported_against_s_100(self):
+        # One ns over 2x S = 100's at the largest S fails, without failing
+        # the run; the largest S decides, not a middle one.
+        status, verdicts = run(edited({
+            "collect/chain/s10000/ns_per_tuple": 61}))
+        self.assertEqual(status, 0)
+        self.assertEqual(verdicts[COST], "FAILS")
+        status, verdicts = run(edited({
+            "collect/chain/s1000/ns_per_tuple": 900}))
+        self.assertEqual(verdicts[COST], "HOLDS")
+        status, verdicts = run(edited({
+            "collect/chain/s100/ns_per_tuple": None}))
+        self.assertEqual(status, 0)
+        self.assertEqual(verdicts[COST], "NOT MEASURED")
 
     def test_reported_claims_never_fail_the_run(self):
         status, verdicts = run(edited({

@@ -280,11 +280,10 @@ TEST(ExecStress, MixedForkJoinAndDeferAcrossThreads) {
   EXPECT_EQ(deferred_ran.load(), kThreads * kRounds);
 }
 
-TEST(Exec, GlobalInstanceIsASingletonVisibleToInstanceIfCreated) {
+TEST(Exec, GlobalInstanceIsASingleton) {
   exec::Pool& a = exec::Pool::instance();
   exec::Pool& b = exec::Pool::instance();
   EXPECT_EQ(&a, &b);
-  EXPECT_EQ(exec::Pool::instance_if_created(), &a);
   EXPECT_GE(a.workers(), 1);
 }
 

@@ -441,51 +441,6 @@ TEST(VmReclaim, PreciseFreedSetsStayExactWhenDeferred) {
   EXPECT_EQ(mvcc::alloc::reclaim_queue_depth().load(), 0);
 }
 
-// --- acquire_version_vector: the cross-manager validate-retry helper ------
-
-TEST(VmVersionVector, ReturnsConsistentVectorWhenTokenIsStable) {
-  std::uint64_t retries = 0;
-  auto vec = acquire_version_vector<int>(
-      4, [] { return std::uint64_t{10}; }, [](std::size_t s) {
-        return static_cast<int>(s) * 2;
-      },
-      &retries);
-  ASSERT_EQ(vec.size(), 4u);
-  for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(vec[s], static_cast<int>(s) * 2);
-  EXPECT_EQ(retries, 0u);
-}
-
-TEST(VmVersionVector, RetriesUntilTheTokenValidates) {
-  // The token changes under the first two passes (a cross-shard commit
-  // overlapping the pins), then stabilizes; the pins of the failed passes
-  // must be dropped and re-taken.
-  std::uint64_t token_reads = 0;
-  std::uint64_t pins = 0;
-  std::uint64_t retries = 0;
-  auto vec = acquire_version_vector<std::uint64_t>(
-      3,
-      [&] {
-        // Reads come in pre/post pairs per pass; disagree for 2 passes.
-        const std::uint64_t r = token_reads++;
-        return r < 4 ? r : std::uint64_t{100};
-      },
-      [&](std::size_t) { return ++pins; }, &retries);
-  ASSERT_EQ(vec.size(), 3u);
-  EXPECT_EQ(retries, 2u);
-  EXPECT_EQ(pins, 9u);  // 3 passes x 3 shards; stale pins were discarded
-  EXPECT_EQ(vec[2], 9u);
-}
-
-TEST(VmVersionVector, RetryBudgetExhaustionReturnsEmpty) {
-  std::uint64_t token = 0;
-  std::uint64_t retries = 0;
-  auto vec = acquire_version_vector<int>(
-      2, [&] { return token++; }, [](std::size_t) { return 1; }, &retries,
-      /*max_retries=*/3);
-  EXPECT_TRUE(vec.empty());
-  EXPECT_EQ(retries, 4u);  // initial pass + 3 budgeted retries all failed
-}
-
 TEST(VmWorkload, PswfEndToEnd) { RunWorkloadSmoke<PswfVersionManager>(); }
 TEST(VmWorkload, PslfEndToEnd) { RunWorkloadSmoke<PslfVersionManager>(); }
 TEST(VmWorkload, HpEndToEnd) { RunWorkloadSmoke<HpVersionManager>(); }
