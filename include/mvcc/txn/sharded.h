@@ -231,8 +231,8 @@ class ShardedMap {
     const bool slow =
         (e & 1) != 0 || epoch_.load(std::memory_order_seq_cst) != e;
     if (slow) {
-      // A multi-shard commit overlapped the pins: drop them, and pin once
-      // more with every multi-shard commit excluded.
+      // A multi-shard commit was in flight or overlapped the pins: drop
+      // them, and pin once more with every multi-shard commit excluded.
       vec.clear();
       std::lock_guard<std::mutex> lk(multi_mu_);
       pin_all(p, vec);
